@@ -14,6 +14,7 @@ from .graphs import (
     graph_from_edges,
     is_perfect_matching,
     laminar_check,
+    min_weight_perfect_matching,
     parse_graph,
 )
 from .weights import (

@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     except (_Domain, NoPerfectMatchingError, TrialsExhausted, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (EngineError, AssertionError) as exc:
+    except EngineError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     ms = int((time.monotonic() - started) * 1000)

@@ -24,9 +24,11 @@ from itertools import combinations
 
 from .graphs import (
     DEFAULT_SIZE_GUARD,
+    EngineError,
     Graph,
     edge_ids_of_mask,
     enumerate_perfect_matchings,
+    min_weight_perfect_matching,
     vertex_mask,
 )
 from .weights import (
@@ -53,10 +55,6 @@ from .faces import (
     tight_odd_sets,
 )
 from .tutte import STATUS_MATCHED, STATUS_NO_PM, SearchOutcome, determinant_search
-
-
-class EngineError(RuntimeError):
-    """A verified pipeline invariant failed; indicates a bug, never a bad input."""
 
 
 class NoPerfectMatchingError(ValueError):
@@ -106,7 +104,8 @@ def _find_member(vectors, n: int, m: int) -> tuple[int, WeightFunction]:
     vecs = sorted(set(canonical_sign(v) for v in vectors))
     if not vecs:
         found = separating_weights([], n, 7, m=m)
-        assert found is not None
+        if found is None:
+            raise EngineError("no family member for an empty obligation set")
         return found
     cap = n**20
     t_max = min(cap, max(7, n**3 * len(vecs)))
@@ -369,35 +368,24 @@ def isolate_derandomized(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> Is
     return IsolationCertificate(weight=w, matching=matching, audit=state.weight_log)
 
 
-def isolate_randomized(
-    g: Graph,
-    seed: int,
-    max_trials: int = 64,
-    max_vertices: int = DEFAULT_SIZE_GUARD,
-) -> IsolationCertificate | SearchOutcome:
-    """Draw random weights until one isolates; certify via the search.
+def isolate_randomized(g: Graph, seed: int, max_trials: int = 64) -> IsolationCertificate | SearchOutcome:
+    """Draw random weights until the determinant search certifies one.
 
-    Returns the no-perfect-matching search outcome when none exists.  Each
-    failed trial happens with probability at most 1/2, so exhausting
-    max_trials has probability at most 2^-max_trials.
+    The search's verdict is exact at every size (the blossom algorithm
+    confirms that the matching it reads off the digits is the unique
+    minimum), so the first trial it reports as matched is the first one
+    whose weights isolate.  Returns the no-perfect-matching search outcome
+    when none exists.  Each failed trial happens with probability at most
+    1/2, so exhausting max_trials has probability at most 2^-max_trials.
     """
-    if g.n <= max_vertices and not enumerate_perfect_matchings(g, max_vertices):
-        return determinant_search(g, WeightFunction(g.n, (1,) * g.m, "constant"))
+    if min_weight_perfect_matching(g, (0,) * g.m) is None:
+        return SearchOutcome(STATUS_NO_PM, None, None, 0, None, ())
     rng = random.Random(seed)
     for trial in range(1, max_trials + 1):
         w = random_weights(g, rng.randrange(1 << 63))
-        if g.n <= max_vertices:
-            if not is_isolating(g, w, max_vertices):
-                continue
-            outcome = determinant_search(g, w)
-            if outcome.status != STATUS_MATCHED:
-                raise EngineError("search failed on a brute-force-isolating weight")
-        else:
-            outcome = determinant_search(g, w)
-            if outcome.status == STATUS_NO_PM:
-                return outcome
-            if outcome.status != STATUS_MATCHED:
-                continue
+        outcome = determinant_search(g, w)
+        if outcome.status != STATUS_MATCHED:
+            continue
         record = PhaseRecord(
             label=f"random:trial={trial}", k=0, weights=w, obligations=0, changed_face=True
         )

@@ -22,6 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import (
     DEFAULT_SIZE_GUARD,
+    EngineError,
     Graph,
     SizeGuardExceeded,
     crossing,
@@ -388,7 +389,8 @@ def contract_face(
     for idx, s in enumerate(nodes):
         for v in s:
             node_of[v] = idx
-    assert len(node_of) == g.n, "maximal small sets must partition the vertices"
+    if len(node_of) != g.n:
+        raise EngineError("maximal small sets must partition the vertices")
     erased = 0
     for s in fam.sets:
         if len(s) > threshold:
@@ -615,7 +617,8 @@ def lift_contracted_vector(
                                 f"interior of {sorted(s)} not forced by edge {eid}: "
                                 "contractibility precondition violated"
                             )
-                assert inner is not None, "boundary edge vanished from the face support"
+                if inner is None:
+                    raise EngineError("boundary edge vanished from the face support")
                 forced[eid] = inner
             return forced[eid]
 
@@ -625,7 +628,8 @@ def lift_contracted_vector(
             for eid in edge_ids_of_mask(forced_interior(e_minus)):
                 y[eid - 1] -= 1
     z_norm = sum(abs(c) for c in z)
-    assert sum(abs(c) for c in y) <= g.n * z_norm
+    if sum(abs(c) for c in y) > g.n * z_norm:
+        raise EngineError("lifted vector exceeds n times the circuit's 1-norm")
     return tuple(y)
 
 

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, is_perfect_matching
+from .graphs import EngineError, Graph, is_perfect_matching, min_weight_perfect_matching
 from .weights import WeightFunction
 
 STATUS_MATCHED = "matched"
@@ -40,6 +40,11 @@ class TutteMatrix:
                     raise ValueError("matrix not skew-symmetric")
 
 
+def _ord2(x: int) -> int:
+    """Largest k with 2^k dividing x, for x != 0."""
+    return (x & -x).bit_length() - 1
+
+
 @dataclass(frozen=True)
 class DeterminantResult:
     value: int
@@ -47,9 +52,7 @@ class DeterminantResult:
     @property
     def ord2(self) -> int | None:
         """Largest k with 2^k dividing the value; None for value 0."""
-        if self.value == 0:
-            return None
-        return (self.value & -self.value).bit_length() - 1
+        return None if self.value == 0 else _ord2(self.value)
 
     @property
     def ord2_or_inf(self) -> float | int:
@@ -261,47 +264,118 @@ class SearchOutcome:
     reason: str | None = None
 
 
-def determinant_search(g: Graph, w: WeightFunction, mode: str = "exact") -> SearchOutcome:
-    """Find the unique minimum-weight perfect matching when w is isolating.
+def _inverse(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination, in place; destructive.
 
-    Computes one determinant per edge (the graph with that edge removed) and
-    selects the edges whose removal kills the lowest binary digit 2^(2 W*),
-    either by zeroing the determinant or by raising its 2-adic valuation;
-    both mean the digit disappeared.  The candidate set is then validated as
-    a perfect matching of total weight W*.
+    Returns (D, R) with D = +-det A (the sign of the row swaps) and
+    R = D * A^-1, an integer matrix; (0, []) when A is singular.  Every
+    division is exact because each entry stays a minor of [A | I] (Bareiss
+    1968, extended to the rows above the pivot).  Only n of the 2n columns
+    of [A | I] carry information at any step: the pivot turns left column k
+    into a unit column and brings right column k to life, so the latter
+    takes the former's place.  A row swap exchanges the names of two right
+    columns that are still units, recorded in ``name``.
+    """
+    n = len(rows)
+    name = list(range(n))
+    prev = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            for i in range(k + 1, n):
+                if rows[i][k] != 0:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    name[k], name[i] = name[i], name[k]
+                    break
+            else:
+                return 0, []
+        top = rows[k]
+        pivot = top[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = rows[i]
+            f = row[k]
+            if f:
+                row = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+            else:
+                row = [pivot * x // prev for x in row]
+            row[k] = -f
+            rows[i] = row
+        top[k] = prev
+        prev = pivot
+    out = [[0] * n for _ in range(n)]
+    for c, true_c in enumerate(name):
+        for r in range(n):
+            out[r][true_c] = rows[r][c]
+    return prev, out
+
+
+def determinant_search(g: Graph, w: WeightFunction) -> SearchOutcome:
+    """Find the unique minimum-weight perfect matching, and say so exactly.
+
+    One fraction-free inversion yields D = +-det T and R = D * T^-1.
+    Removing edge e = (u, v), u < v, is a rank-2 skew update, so
+    det(T - e) = s^2 / |D| with s = D - 2^w(e) * R[v][u]: the per-edge
+    determinant is zero iff s = 0 and otherwise has 2-adic valuation
+    2 ord2(s) - ord2(D).  The edges whose removal kills the lowest digit
+    2^(2 W*) are selected (Mulmuley, Vazirani and Vazirani 1987).
+
+    The digit test alone can be fooled when w does not isolate: equal
+    minimum terms of the Pfaffian may cancel and move the lowest digit.  So
+    the verdict is settled by the blossom algorithm: the candidate M is
+    reported as matched only if it is a minimum under
+    (n/2 + 1) * w + chi_M, which holds exactly when M is the unique minimum
+    under w.  A vanishing determinant is reported as no-perfect-matching
+    only when no perfect matching exists, and as isolation-failure
+    otherwise.
     """
     if w.m != g.m:
         raise ValueError(f"weight function covers {w.m} edges, graph has {g.m}")
     if any(x < 1 for x in w.values):
         raise ValueError("search requires strictly positive weights")
-    full = determinant(build_tutte_matrix(g, w), mode)
-    if full.value == 0:
-        return SearchOutcome(STATUS_NO_PM, None, None, 0, None, ())
-    target = full.ord2
-    assert target is not None and target % 2 == 0, "skew-symmetric det must be an even power of two times odd"
+    d, adj = _inverse([list(r) for r in build_tutte_matrix(g, w).rows])
+    if d == 0:
+        if min_weight_perfect_matching(g, w.values) is None:
+            return SearchOutcome(STATUS_NO_PM, None, None, 0, None, ())
+        return SearchOutcome(
+            STATUS_NOT_ISOLATING, None, None, 0, None, (),
+            reason="determinant vanishes although a perfect matching exists",
+        )
+    target = _ord2(d)
+    if target % 2:
+        raise EngineError(f"skew-symmetric determinant has odd 2-adic valuation {target}")
     verdicts = []
     selected = []
-    for edge_id in range(1, g.m + 1):
-        sub = Graph(g.n, g.edges[: edge_id - 1] + g.edges[edge_id:])
-        sub_w = WeightFunction(w.n, w.values[: edge_id - 1] + w.values[edge_id:], w.provenance)
-        res = determinant(build_tutte_matrix(sub, sub_w), mode)
-        hit = res.ord2_or_inf > target
-        verdicts.append(EdgeVerdict(edge_id, res.value == 0, res.ord2, hit))
+    for edge_id, ((u, v), x) in enumerate(zip(g.edges, w.values), start=1):
+        s = d - (adj[v - 1][u - 1] << x)
+        ord2 = None if s == 0 else 2 * _ord2(s) - target
+        hit = ord2 is None or ord2 > target
+        verdicts.append(EdgeVerdict(edge_id, s == 0, ord2, hit))
         if hit:
             selected.append(edge_id)
     candidate = frozenset(selected)
-    det_bits = full.value.bit_length()
-    if not is_perfect_matching(g, candidate):
+    det_bits = abs(d).bit_length()
+
+    def failure(reason: str) -> SearchOutcome:
         return SearchOutcome(
-            STATUS_NOT_ISOLATING, None, None, det_bits, target, tuple(verdicts),
-            reason="selected edges do not form a perfect matching",
+            STATUS_NOT_ISOLATING, None, None, det_bits, target, tuple(verdicts), reason=reason
         )
+
+    if not is_perfect_matching(g, candidate):
+        return failure("selected edges do not form a perfect matching")
     weight = w.matching_weight(candidate)
     if 2 * weight != target:
-        return SearchOutcome(
-            STATUS_NOT_ISOLATING, None, None, det_bits, target, tuple(verdicts),
-            reason=f"matching weight {weight} inconsistent with digit position {target}",
-        )
+        return failure(f"matching weight {weight} inconsistent with digit position {target}")
+    scale = g.n // 2 + 1
+    shifted = [scale * x + int(j in candidate) for j, x in enumerate(w.values, start=1)]
+    best = min_weight_perfect_matching(g, shifted)
+    if best is None:
+        raise EngineError("blossom algorithm lost the candidate's perfect matching")
+    gap = sum(shifted[j - 1] for j in candidate) - sum(shifted[j - 1] for j in best)
+    if gap < 0:
+        raise EngineError("blossom algorithm returned a non-minimum perfect matching")
+    if gap > 0:
+        return failure(f"matching weight {weight} is not the unique minimum")
     return SearchOutcome(
         STATUS_MATCHED, candidate, weight, det_bits, target, tuple(verdicts)
     )

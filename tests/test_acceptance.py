@@ -43,7 +43,7 @@ from matchiso.faces import (
 )
 from matchiso.graphs import crossing
 from matchiso.smallgraphs import connected_graphs
-from matchiso.tutte import STATUS_MATCHED, is_prime
+from matchiso.tutte import STATUS_MATCHED, STATUS_NO_PM, STATUS_NOT_ISOLATING, is_prime
 
 from conftest import (
     complete_graph,
@@ -51,6 +51,7 @@ from conftest import (
     random_graph,
     random_graph_with_pm,
 )
+from reference_search import per_edge_search
 
 EXPECTED_CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 
@@ -107,7 +108,10 @@ def fixed_rate_graphs():
 @pytest.fixture(scope="session")
 def isolation_draws():
     """Criterion 2/3 shared records: per fixed graph, 2000 seeded draws with
-    the isolating flag, and for isolating draws the search outcome."""
+    the brute-force isolating flag, the search outcome, and for isolating
+    draws the brute-force minimizer.  Draw i uses random_weights(g, i).
+
+    The search must say matched exactly when the draw isolates."""
     records = {}
     for name, g in fixed_rate_graphs():
         pms = enumerate_perfect_matchings(g)
@@ -115,15 +119,25 @@ def isolation_draws():
         for seed in range(2000):
             w = random_weights(g, seed)
             isolating = is_isolating(g, w)
-            outcome = None
-            if isolating:
-                outcome = determinant_search(g, w)
-                totals = sorted((w.matching_weight(mm), mm) for mm in pms)
-                rows.append((isolating, outcome, totals[0][1]))
-            else:
-                rows.append((isolating, None, None))
+            outcome = determinant_search(g, w)
+            assert (outcome.status == STATUS_MATCHED) == isolating, f"{name}: draw {seed}"
+            expected = min(pms, key=w.matching_weight) if isolating else None
+            rows.append((isolating, outcome, expected))
         records[name] = (g, rows)
     return records
+
+
+def assert_agrees_with_per_edge_oracle(g, w, outcome, isolating):
+    """Same verdict table and digits as the m + 1-determinant search; the
+    status may differ only where the old search was wrong."""
+    old = per_edge_search(g, w)
+    assert (outcome.verdicts, outcome.det_bits, outcome.target_ord2) == (
+        old.verdicts, old.det_bits, old.target_ord2)
+    if outcome.status != old.status:
+        assert not isolating and outcome.status == STATUS_NOT_ISOLATING
+        assert old.status in (STATUS_MATCHED, STATUS_NO_PM)
+        return 1
+    return 0
 
 
 def test_criterion_1_tutte_equivalence(corpus8):
@@ -172,6 +186,40 @@ def test_criterion_3_search_matches_brute_force(isolation_draws):
             assert outcome.matching == expected, f"{name}: wrong matching"
             checked += 1
     announce(3, time.perf_counter() - started, f"{checked} isolating draws, 100% agreement")
+
+
+def test_criterion_3_per_edge_oracle(isolation_draws):
+    """The one-inverse search against the m + 1-determinant search it
+    replaced, over every criterion-2/3 draw."""
+    started = time.perf_counter()
+    checked = changed = 0
+    for name, (g, rows) in isolation_draws.items():
+        for seed, (isolating, outcome, _) in enumerate(rows):
+            changed += assert_agrees_with_per_edge_oracle(
+                g, random_weights(g, seed), outcome, isolating)
+            checked += 1
+    print(f"[per-edge oracle: {checked} draws, {changed} wrong old statuses corrected "
+          f"in {time.perf_counter() - started:.1f}s]")
+
+
+def test_corpus_sample_per_edge_oracle(corpus8):
+    """The same differential over a seeded tenth of the n <= 8 corpus, with
+    weights in {1, 2, 3} so that ties are common."""
+    rng = random.Random(808)
+    checked = changed = 0
+    for g in corpus8:
+        if rng.random() >= 0.1:
+            continue
+        w = WeightFunction(g.n, tuple(rng.randint(1, 3) for _ in range(g.m)))
+        outcome = determinant_search(g, w)
+        isolating = is_isolating(g, w)
+        assert (outcome.status == STATUS_MATCHED) == isolating
+        if outcome.status == STATUS_NO_PM:
+            assert not enumerate_perfect_matchings(g)
+        changed += assert_agrees_with_per_edge_oracle(g, w, outcome, isolating)
+        checked += 1
+    assert changed > 0
+    print(f"[per-edge oracle: {checked} corpus graphs, {changed} wrong old statuses corrected]")
 
 
 def test_criterion_4_determinant_cross_check():

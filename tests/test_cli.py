@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,12 @@ from matchiso.cli import main
 
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n4 1\n"
 TRIANGLE_TEXT = "3 3\n1 2\n2 3\n3 1\n"
+K4_TEXT = "4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+# Two weightings of K4 whose tied minimum perfect matchings cancel in the
+# Pfaffian: the first moves the lowest digit onto the weight-3 matching
+# {3, 4}, the second zeroes the determinant.
+K4_TIED_WEIGHTS = ("1,1,1,2,1,1", "1,1,1,1,2,1")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -78,6 +88,54 @@ def test_search_isolation_failure_reported(capsys, c4_file):
     code, out, _ = run(capsys, "search", "--graph", c4_file, "--weights", "1,1,1,1")
     assert code == 0
     assert payload(out)["result"]["status"] == "isolation-failure"
+
+
+@pytest.mark.parametrize("weights", K4_TIED_WEIGHTS)
+def test_search_k4_ties_report_isolation_failure(capsys, tmp_path, weights):
+    path = tmp_path / "k4.txt"
+    path.write_text(K4_TEXT)
+    code, out, _ = run(capsys, "search", "--graph", str(path), "--weights", weights)
+    assert code == 0
+    result = payload(out)["result"]
+    assert result["status"] == "isolation-failure"
+    assert result["matching"] is None and result["matchingWeight"] is None
+
+
+@pytest.mark.parametrize("seed", [462678848, 655811609])
+def test_search_n20_tied_minimum_reports_isolation_failure(capsys, seed):
+    """Benchmark graphs on which the digits alone name a non-minimum matching."""
+    path = DATA / f"search_seed{seed}.txt"
+    code, out, _ = run(capsys, "search", "--graph", str(path), "--random-weights", "--seed", str(seed))
+    assert code == 0
+    result = payload(out)["result"]
+    assert result["status"] == "isolation-failure"
+    assert len(result["verdicts"]) == 64
+
+
+def test_search_contract_holds_under_optimized_python(tmp_path):
+    """python -O strips asserts; the verdicts must not depend on them."""
+    path = tmp_path / "k4.txt"
+    path.write_text(K4_TEXT)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for weights in K4_TIED_WEIGHTS:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "matchiso.cli", "search", "--graph", str(path),
+             "--weights", weights],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["status"] == "isolation-failure"
+
+
+def test_no_assert_statements_in_src():
+    import ast
+
+    package = Path(__file__).resolve().parent.parent / "src" / "matchiso"
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
 
 
 def test_isolate_derandomized_c4(capsys, c4_file):

@@ -4,6 +4,7 @@ import pytest
 
 from matchiso import (
     Face,
+    Graph,
     IsolationCertificate,
     NoPerfectMatchingError,
     TrialsExhausted,
@@ -16,12 +17,15 @@ from matchiso import (
     isolate_derandomized,
     isolate_randomized,
     make_chains_contractible,
+    random_weights,
     remove_circuits,
     respects_face,
 )
 from matchiso.engine import ceil_log2, chain_phase_spans, compose_log, PhaseRecord
 from matchiso.faces import contract_face, bounded_circuit_vectors
 from matchiso.tutte import STATUS_MATCHED, STATUS_NO_PM
+
+from conftest import random_graph_with_pm
 
 f = frozenset
 
@@ -203,6 +207,39 @@ def test_isolate_randomized_certificate_weight_isolates(cube):
     cert = isolate_randomized(cube, seed=3)
     assert is_isolating(cube, cert.weight)
     assert determinant_search(cube, cert.weight).matching == cert.matching
+
+
+def test_isolate_randomized_same_certificates_as_brute_force_filter():
+    """The first trial the exact search accepts is the first trial whose
+    weights isolate by brute force, so certificates do not depend on how
+    isolation is decided."""
+    rng = random.Random(77)
+    for seed in range(12):
+        g = random_graph_with_pm(rng.choice([6, 8, 10]), 0.5, rng)
+        cert = isolate_randomized(g, seed)
+        draws = random.Random(seed)
+        for trial in range(1, cert.trials + 1):
+            w = random_weights(g, draws.randrange(1 << 63))
+            assert is_isolating(g, w) == (trial == cert.trials)
+        assert cert.weight == w
+
+
+def test_isolate_randomized_above_the_guard_enumerates_nothing(monkeypatch):
+    """One path for every n: no matching enumeration, no brute-force check."""
+    import matchiso.engine as engine
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exhaustive oracle called")
+
+    monkeypatch.setattr(engine, "enumerate_perfect_matchings", forbidden)
+    monkeypatch.setattr(engine, "is_isolating", forbidden)
+    g = random_graph_with_pm(20, 0.2, random.Random(5))
+    cert = isolate_randomized(g, seed=4)
+    out = determinant_search(g, cert.weight)
+    assert out.status == STATUS_MATCHED and out.matching == cert.matching
+    odd = random_graph_with_pm(18, 0.2, random.Random(6))
+    isolated = Graph(odd.n, tuple(e for e in odd.edges if 18 not in e))
+    assert isolate_randomized(isolated, seed=1).status == STATUS_NO_PM
 
 
 def test_random_corpus_smoke():

@@ -13,8 +13,11 @@ from matchiso import (
     graph_from_edges,
     is_perfect_matching,
     laminar_check,
+    min_weight_perfect_matching,
     parse_graph,
 )
+
+from conftest import random_graph
 
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n4 1\n"
 
@@ -153,3 +156,30 @@ def test_seeded_random_graph_roundtrip():
     g = graph_from_edges(6, pairs)
     text = f"{g.n} {g.m}\n" + "\n".join(f"{u} {v}" for u, v in g.edges)
     assert parse_graph(text) == g
+
+
+def test_min_weight_perfect_matching_small_cases(c4, k4, triangle, star):
+    assert min_weight_perfect_matching(c4, (1, 1, 1, 2)) == frozenset({2, 3})
+    assert min_weight_perfect_matching(k4, (5, 5, 1, 1, 5, 5)) == frozenset({3, 4})
+    assert min_weight_perfect_matching(triangle, (1, 1, 1)) is None
+    assert min_weight_perfect_matching(star, (1, 1, 1)) is None
+    assert min_weight_perfect_matching(graph_from_edges(4, []), ()) is None
+    with pytest.raises(ValueError):
+        min_weight_perfect_matching(c4, (1, 1, 1))
+
+
+def test_min_weight_perfect_matching_seeded_sweep():
+    """Against enumeration, with blossom shrinking and expansion on dense
+    graphs with many ties."""
+    rng = random.Random(31)
+    for _ in range(400):
+        n = rng.choice([3, 4, 6, 8, 10, 12])
+        g = random_graph(n, rng.uniform(0.2, 1.0), rng)
+        values = tuple(rng.randint(0, rng.choice([1, 4, 50])) for _ in range(g.m))
+        got = min_weight_perfect_matching(g, values)
+        pms = enumerate_perfect_matchings(g)
+        if not pms:
+            assert got is None
+            continue
+        best = min(sum(values[j - 1] for j in mm) for mm in pms)
+        assert is_perfect_matching(g, got) and sum(values[j - 1] for j in got) == best

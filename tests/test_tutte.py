@@ -15,7 +15,17 @@ from matchiso import (
     enumerate_perfect_matchings,
     graph_from_edges,
 )
-from matchiso.tutte import STATUS_MATCHED, STATUS_NO_PM, STATUS_NOT_ISOLATING, TutteMatrix, is_prime
+from matchiso.tutte import (
+    STATUS_MATCHED,
+    STATUS_NO_PM,
+    STATUS_NOT_ISOLATING,
+    TutteMatrix,
+    _inverse,
+    is_prime,
+)
+
+from conftest import random_graph_with_pm
+from reference_search import per_edge_search
 
 
 def leibniz_determinant(rows):
@@ -208,7 +218,84 @@ def test_search_agrees_with_brute_force_on_random_isolating_weights():
         if isolated:
             assert out.status == STATUS_MATCHED and out.matching == totals[0][1]
         else:
-            # Ties can also cancel the whole determinant, which the digit
-            # test reports as absence; either way it never claims success.
-            assert out.status in (STATUS_NOT_ISOLATING, STATUS_NO_PM)
+            assert out.status == STATUS_NOT_ISOLATING
         checked += 1
+
+
+@given(st.integers(2, 7), st.data())
+@settings(max_examples=40)
+def test_inverse_is_scaled_inverse(n, data):
+    all_pairs = list(itertools.combinations(range(1, n + 1), 2))
+    pairs = data.draw(st.lists(st.sampled_from(all_pairs), unique=True))
+    g = graph_from_edges(n, pairs)
+    w = WeightFunction(n, tuple(data.draw(st.integers(0, 6)) for _ in range(g.m)))
+    mat = build_tutte_matrix(g, w)
+    d, r = _inverse([list(row) for row in mat.rows])
+    assert abs(d) == determinant(mat).value
+    if d:
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*r)] for row in mat.rows]
+        assert product == [[d if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+# K4 with edge ids 1=(1,2) 2=(1,3) 3=(1,4) 4=(2,3) 5=(2,4) 6=(3,4); its
+# perfect matchings are {1,6}, {2,5} and {3,4}.
+
+
+def test_search_k4_tie_with_moved_digit_is_not_matched(k4):
+    # {1,6} and {2,5} both weigh 2; their Pfaffian terms cancel, so the lowest
+    # digit belongs to {3,4} of weight 3, which the digits alone accept.
+    w = WeightFunction(4, (1, 1, 1, 2, 1, 1))
+    assert per_edge_search(k4, w).status == STATUS_MATCHED
+    out = determinant_search(k4, w)
+    assert out.status == STATUS_NOT_ISOLATING and out.matching is None
+    assert out.verdicts == per_edge_search(k4, w).verdicts
+
+
+def test_search_k4_vanishing_determinant_is_not_absence(k4):
+    # All three matchings weigh 2 and the whole Pfaffian cancels.
+    w = WeightFunction(4, (1, 1, 1, 1, 2, 1))
+    assert determinant(build_tutte_matrix(k4, w)).value == 0
+    assert per_edge_search(k4, w).status == STATUS_NO_PM
+    out = determinant_search(k4, w)
+    assert out.status == STATUS_NOT_ISOLATING
+    assert out.verdicts == () and out.det_bits == 0 and out.target_ord2 is None
+
+
+def test_search_agrees_with_networkx_blossom():
+    """Seeded n = 18..24 differential against networkx's blossom algorithm,
+    with the uniqueness rule of the benchmark oracle: a minimum is unique
+    when deleting any one of its edges leaves no perfect matching of the
+    same weight."""
+    nx = pytest.importorskip("networkx")
+
+    def minimum(n, weighted):
+        graph = nx.Graph()
+        graph.add_nodes_from(range(1, n + 1))
+        ceiling = max(weighted.values()) + 1
+        graph.add_weighted_edges_from((u, v, ceiling - x) for (u, v), x in weighted.items())
+        found = nx.max_weight_matching(graph, maxcardinality=True)
+        if 2 * len(found) != n:
+            return None
+        return sum(weighted[min(e), max(e)] for e in found), found
+
+    rng = random.Random(1818)
+    outcomes = set()
+    for _ in range(12):
+        n = rng.choice([18, 20, 22, 24])
+        g = random_graph_with_pm(n, 0.2, rng)
+        w = WeightFunction(n, tuple(rng.randint(1, 6) for _ in range(g.m)))
+        weighted = dict(zip(g.edges, w.values))
+        best, found = minimum(n, weighted)
+        unique = True
+        for u, v in found:
+            rest = {e: x for e, x in weighted.items() if e != (min(u, v), max(u, v))}
+            other = minimum(n, rest)
+            if other is not None and other[0] == best:
+                unique = False
+        out = determinant_search(g, w)
+        if unique:
+            assert out.status == STATUS_MATCHED and out.weight == best
+        else:
+            assert out.status == STATUS_NOT_ISOLATING
+        outcomes.add(out.status)
+    assert outcomes == {STATUS_MATCHED, STATUS_NOT_ISOLATING}
