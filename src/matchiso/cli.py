@@ -100,8 +100,15 @@ def _certificate_payload(cert: IsolationCertificate) -> dict:
     }
 
 
+def _int_list(raw: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise ParseError("malformed", f"{flag} takes comma-separated integers, got {raw!r}") from None
+
+
 def _parse_weight_list(raw: str, g: Graph) -> WeightFunction:
-    values = tuple(int(x) for x in raw.split(","))
+    values = _int_list(raw, "--weights")
     if len(values) != g.m:
         raise _Domain(f"expected {g.m} weights, got {len(values)}")
     return WeightFunction(g.n, values, provenance="custom")
@@ -155,7 +162,7 @@ def _cmd_isolate(args) -> dict:
 def _cmd_weights(args) -> dict:
     m = args.edges if args.edges is not None else args.n * (args.n - 1) // 2
     if args.concat:
-        ks = [int(x) for x in args.concat.split(",")]
+        ks = list(_int_list(args.concat, "--concat"))
         padding = args.n**args.padding_exponent
         w = family_member(ks[0], args.n, m)
         for k in ks[1:]:
@@ -168,7 +175,7 @@ def _cmd_weights(args) -> dict:
 def _face_from_args(args, g: Graph):
     face = perfect_matching_face(g)
     if args.weights:
-        for k in (int(x) for x in args.weights.split(",")):
+        for k in _int_list(args.weights, "--weights"):
             face = min_weight_subface(face, family_member(k, g.n, g.m))
     return face
 
@@ -193,12 +200,8 @@ def _cmd_goodness(args) -> dict:
     report = goodness_check(face, fam, getattr(args, "lambda"), g)
     witness = report.witness
     if isinstance(witness, frozenset):
-        witness_payload = sorted(witness)
-    elif isinstance(witness, tuple):
-        witness_payload = list(witness)
-    else:
-        witness_payload = witness
-    return {"good": report.ok, "failed": report.failed, "witness": witness_payload}
+        witness = sorted(witness)
+    return {"good": report.ok, "failed": report.failed, "witness": witness}
 
 
 def _cmd_bench(args) -> dict:

@@ -26,15 +26,13 @@ from .graphs import (
     DEFAULT_SIZE_GUARD,
     EngineError,
     Graph,
-    edge_ids_of_mask,
-    enumerate_perfect_matchings,
+    NoPerfectMatchingError,
+    bit_positions,
     min_weight_perfect_matching,
-    vertex_mask,
 )
 from .weights import (
     WeightFunction,
     concatenate,
-    is_isolating,
     random_weights,
     separating_weights,
 )
@@ -44,21 +42,17 @@ from .faces import (
     bounded_circuit_vectors,
     canonical_sign,
     contract_face,
-    extend_to_maximal_laminar,
+    contractible_mask,
+    extend_masks,
     goodness_check,
-    is_contractible,
     lift_contracted_vector,
     min_weight_subface,
     perfect_matching_face,
     respects_face,
     singletons,
-    tight_odd_sets,
+    tight_masks,
 )
 from .tutte import STATUS_MATCHED, STATUS_NO_PM, SearchOutcome, determinant_search
-
-
-class NoPerfectMatchingError(ValueError):
-    """The input graph has no perfect matching."""
 
 
 class TrialsExhausted(RuntimeError):
@@ -168,19 +162,14 @@ def chain_phase_spans(longest: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
-def _disjoint_chains(group: list[frozenset[int]]) -> list[tuple[frozenset[int], ...]]:
-    """Group nested sets (each with at most one child) into ascending chains."""
-    gs = sorted(group, key=lambda s: (len(s), sorted(s)))
-    parent: dict[frozenset[int], frozenset[int] | None] = {}
-    for s in gs:
-        sup = None
-        for t in gs:
-            if s < t and (sup is None or len(t) < len(sup)):
-                sup = t
-        parent[s] = sup
+def _disjoint_chains(group: list[int]) -> list[tuple[int, ...]]:
+    """Group nested vertex masks (each with at most one child) into
+    ascending chains; a set's parent is its smallest strict superset."""
+    gs = sorted(group, key=int.bit_count)
+    parent = {s: next((t for t in gs if s & t == s != t), None) for s in gs}
     chains = []
     for s in gs:
-        if any(t < s for t in gs):
+        if any(t & s == t != s for t in gs):
             continue
         chain = [s]
         while parent[chain[-1]] is not None:
@@ -191,7 +180,7 @@ def _disjoint_chains(group: list[frozenset[int]]) -> list[tuple[frozenset[int], 
 
 def _layer_difference_vectors(
     face: Face,
-    chain: tuple[frozenset[int], ...],
+    chain: tuple[int, ...],
     p: int,
     r: int,
     g: Graph,
@@ -199,17 +188,16 @@ def _layer_difference_vectors(
     """Obligations that make the layer U_{p..r} contractible: for each
     admissible boundary pair, the differences of the distinct interior
     matchings that the current face still allows."""
-    hi = chain[r - 1]
-    hi_mask = vertex_mask(hi)
+    hi_mask = chain[r - 1]
     if p >= 2:
-        lo_mask = vertex_mask(chain[p - 2])
+        lo_mask = chain[p - 2]
         u_mask = hi_mask & ~lo_mask
-        lo_ids = sorted(edge_ids_of_mask(g.delta_mask(lo_mask)))
+        lo_ids = bit_positions(g.delta_mask(lo_mask))
     else:
         u_mask = hi_mask
         lo_ids = [None]
     interior = g.interior_mask(u_mask)
-    hi_ids = sorted(edge_ids_of_mask(g.delta_mask(hi_mask)))
+    hi_ids = bit_positions(g.delta_mask(hi_mask))
     out: set[tuple[int, ...]] = set()
     for e_lo in lo_ids:
         bit_lo = 0 if e_lo is None else 1 << (e_lo - 1)
@@ -221,16 +209,10 @@ def _layer_difference_vectors(
                 continue
             for a, b in combinations(sorted(interiors), 2):
                 vec = [0] * g.m
-                rest = a & ~b
-                while rest:
-                    low = rest & -rest
-                    vec[low.bit_length() - 1] = 1
-                    rest ^= low
-                rest = b & ~a
-                while rest:
-                    low = rest & -rest
-                    vec[low.bit_length() - 1] = -1
-                    rest ^= low
+                for j in bit_positions(a & ~b):
+                    vec[j - 1] = 1
+                for j in bit_positions(b & ~a):
+                    vec[j - 1] = -1
                 out.add(canonical_sign(vec))
     return out
 
@@ -251,7 +233,7 @@ def make_chains_contractible(
     obligation vectors.  The final contractibility of every small member is
     verified before returning.
     """
-    chain_sets = [s for s in fam.sets if threshold < len(s) <= 2 * threshold]
+    chain_sets = [s for s in fam.masks if threshold < s.bit_count() <= 2 * threshold]
     records: list[PhaseRecord] = []
     cur = face
     if chain_sets:
@@ -278,16 +260,16 @@ def make_chains_contractible(
                     )
                 )
                 cur = new_face
-    for s in fam.sets:
-        if len(s) <= 2 * threshold and not is_contractible(cur, s, g):
-            raise EngineError(f"set {sorted(s)} still not contractible after chain phases")
+    for s in fam.masks:
+        if s.bit_count() <= 2 * threshold and not contractible_mask(cur, s, g):
+            raise EngineError(f"set {list(bit_positions(s))} not contractible after chain phases")
     return tuple(records), cur
 
 
 def initial_state(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> FaceLaminarState:
     """The whole polytope with a maximal laminar family; always 1-good."""
     face = perfect_matching_face(g, max_vertices)
-    fam = extend_to_maximal_laminar(singletons(g.n), tight_odd_sets(face, g))
+    fam = extend_masks(singletons(g.n), tight_masks(face, g))
     report = goodness_check(face, fam, 1, g)
     if not report.ok:
         raise EngineError(f"initial pair not 1-good: {report}")
@@ -302,7 +284,7 @@ def advance(state: FaceLaminarState, g: Graph) -> FaceLaminarState:
     records = chain_records + (final_record,)
     if len(records) > ceil_log2(g.n) + 1:
         raise EngineError("round used more weight functions than its budget")
-    fam_out = extend_to_maximal_laminar(state.laminar, tight_odd_sets(f_out, g))
+    fam_out = extend_masks(state.laminar, tight_masks(f_out, g))
     report = goodness_check(f_out, fam_out, 2 * th, g)
     if not report.ok:
         raise EngineError(
@@ -341,12 +323,11 @@ def isolate_derandomized(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> Is
     Doubles the threshold ceil(log2 n) times, then cross-validates the
     composed weight function three independent ways: the brute-force
     minimum is unique, it equals the singleton face content, and the
-    determinant search returns the same matching.
+    determinant search returns the same matching.  The brute force reads
+    the perfect matchings off the starting face, enumerated once.
     """
-    matchings = enumerate_perfect_matchings(g, max_vertices)
-    if not matchings:
-        raise NoPerfectMatchingError(f"graph with {g.n} vertices has no perfect matching")
     state = initial_state(g, max_vertices)
+    matchings = state.face.matchings
     while state.threshold < g.n:
         state = advance(state, g)
     if len(state.face) != 1:
@@ -356,11 +337,11 @@ def isolate_derandomized(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> Is
     if len(state.weight_log) > (rounds + 1) * rounds:
         raise EngineError("weight log exceeds the concatenation budget")
     w = compose_log(state.weight_log, g.n, g.m)
-    if not is_isolating(g, w, max_vertices):
+    totals = [w.matching_weight(mm) for mm in matchings]
+    best = min(totals)
+    if totals.count(best) != 1:
         raise EngineError("composed weight function is not isolating")
-    totals = [(w.matching_weight(mm), mm) for mm in matchings]
-    brute = min(totals)[1]
-    if brute != matching:
+    if matchings[totals.index(best)] != matching:
         raise EngineError("brute-force minimizer disagrees with the singleton face")
     outcome = determinant_search(g, w)
     if outcome.status != STATUS_MATCHED or outcome.matching != matching:

@@ -8,9 +8,13 @@ multigraph, alternating circuits with their signed indicator vectors, the
 respect predicate, and the combined progress check (maximality + small-set
 contractibility + no short circuit in the contraction).
 
-Conventions: vertex sets are frozensets of labels, edge vectors are integer
-tuples of length m indexed by edge id - 1, and circuit vectors are
-canonicalized so their first nonzero coordinate is positive.
+Conventions: inside, every vertex set (tight sets, laminar members,
+chains, contraction nodes) is an int mask with bit v - 1 for vertex v, so
+set algebra and the crossing test are a few integer operations; the public
+functions take and return frozensets of labels, built only at that edge.
+Edge vectors are integer tuples of length m indexed by edge id - 1, and
+circuit vectors are canonicalized so their first nonzero coordinate is
+positive.
 """
 
 from __future__ import annotations
@@ -24,14 +28,14 @@ from .graphs import (
     DEFAULT_SIZE_GUARD,
     EngineError,
     Graph,
+    NoPerfectMatchingError,
     SizeGuardExceeded,
+    bit_positions,
     crossing,
-    edge_ids_of_mask,
     edge_mask,
-    laminar_check,
-    mask_vertices,
-    vertex_mask,
     enumerate_perfect_matchings,
+    laminar_check,
+    vertex_mask,
 )
 from .weights import WeightFunction
 
@@ -65,12 +69,16 @@ class Face:
             acc |= mask
         return acc
 
+    @cached_property
+    def side_by_side(self) -> tuple[int, int, int]:
+        return _side_by_side(self.matching_masks)
+
 
 def perfect_matching_face(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> Face:
     """The whole polytope: hull of all perfect matchings."""
     matchings = enumerate_perfect_matchings(g, max_vertices)
     if not matchings:
-        raise ValueError("graph has no perfect matching; no face exists")
+        raise NoPerfectMatchingError(f"graph with {g.n} vertices has no perfect matching")
     return Face(matchings)
 
 
@@ -84,83 +92,157 @@ def min_weight_subface(face: Face, w: WeightFunction) -> Face:
 
 def face_support(face: Face) -> frozenset[int]:
     """Edges appearing in at least one matching of the face."""
-    return edge_ids_of_mask(face.support_mask)
+    return frozenset(bit_positions(face.support_mask))
 
 
-@lru_cache(maxsize=4096)
+def _side_by_side(matching_masks: tuple[int, ...]) -> tuple[int, int, int]:
+    """(field, repunit, packed): matching i sits in field i of packed, all
+    fields the same whole number of bytes; repunit has a 1 at the bottom of
+    every field, so (x & field) * repunit copies an edge mask x into every
+    field."""
+    size = (max(matching_masks).bit_length() + 7) // 8 or 1
+    packed = int.from_bytes(b"".join(mm.to_bytes(size, "little") for mm in matching_masks), "little")
+    repunit = int.from_bytes((b"\x01" + bytes(size - 1)) * len(matching_masks), "little")
+    return (1 << 8 * size) - 1, repunit, packed
+
+
+def _set_order(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Sort key of a vertex mask: size, then the ascending vertex list."""
+    return mask.bit_count(), bit_positions(mask)
+
+
+@lru_cache(maxsize=256)  # hits come from re-reads within one graph's pipeline
 def _tight_odd_masks(matching_masks: tuple[int, ...], g: Graph) -> tuple[int, ...]:
-    n = g.n
-    out = []
+    """The tight odd sets as vertex masks, in (size, lexicographic) order.
+
+    A set and its complement share a cut and n is even, so only the sets
+    containing vertex 1 are visited, in Gray-code order: each step flips one
+    vertex and XORs its incidence mask into the cut (Knuth, TAOCP 7.2.1.1).
+    Odd steps flip vertex 2 and leave the set even, so the walk takes two
+    at a time.  Most sets already meet the first matching more than once;
+    the others take the test of _is_tight."""
+    n, k = g.n, len(matching_masks)
+    field, repunit, packed = _side_by_side(matching_masks)
+    inc, first = g.incidence_masks, matching_masks[0]
     full = (1 << n) - 1
-    # Enumerate one set per complement pair (those containing vertex 1);
-    # delta and hence tightness are complement-invariant.
-    for half in range(1 << (n - 1)):
-        smask = (half << 1) | 1
-        dm = g.delta_mask(smask)
-        if all((dm & mm).bit_count() == 1 for mm in matching_masks):
-            if smask.bit_count() % 2 == 1:
-                out.append(smask)
-            comp = full ^ smask
-            if comp and comp.bit_count() % 2 == 1:
-                out.append(comp)
-    out.sort(key=lambda s: (s.bit_count(), sorted(mask_vertices(s))))
+    s, cut, out = 1, inc[0], []
+    for i in range(0, 1 << (n - 1), 2):
+        if i:
+            v = (i & -i).bit_length()
+            s ^= 2 | 1 << v
+            cut ^= inc[1] ^ inc[v]
+        if (cut & first).bit_count() == 1 and ((cut & field) * repunit & packed).bit_count() == k:
+            out += (s, full ^ s)
+    out.sort(key=_set_order)
     return tuple(out)
+
+
+def tight_masks(face: Face, g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> tuple[int, ...]:
+    """The tight odd sets of the face as vertex masks, behind the guard."""
+    if g.n > max_vertices:
+        raise SizeGuardExceeded(f"n={g.n} exceeds oracle guard {max_vertices}")
+    return _tight_odd_masks(face.matching_masks, g)
 
 
 def tight_odd_sets(face: Face, g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> tuple[frozenset[int], ...]:
     """All odd vertex sets crossed exactly once by every matching of the
     face; always includes the singletons."""
-    if g.n > max_vertices:
-        raise SizeGuardExceeded(f"n={g.n} exceeds oracle guard {max_vertices}")
-    return tuple(mask_vertices(s) for s in _tight_odd_masks(face.matching_masks, g))
+    return tuple(frozenset(bit_positions(s)) for s in tight_masks(face, g, max_vertices))
+
+
+def _is_tight(face: Face, g: Graph, s: int) -> bool:
+    """Tightness of a vertex mask.  A perfect matching crosses an odd set an
+    odd number of times, so an odd set is tight iff its cut meets the
+    face's matchings len(face) times in all."""
+    field, repunit, packed = face.side_by_side
+    cut = g.delta_mask(s) & field
+    return s.bit_count() % 2 == 1 and (cut * repunit & packed).bit_count() == len(face)
 
 
 def is_tight(face: Face, g: Graph, s: frozenset[int]) -> bool:
-    if len(s) % 2 == 0:
-        return False
-    dm = g.delta_mask(vertex_mask(s))
-    return all((dm & mm).bit_count() == 1 for mm in face.matching_masks)
+    return _is_tight(face, g, vertex_mask(s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LaminarFamily:
-    """Pairwise non-crossing odd vertex sets containing every singleton."""
+    """Pairwise non-crossing odd vertex sets containing every singleton,
+    held as vertex masks in (size, lexicographic) order.  Built from vertex
+    sets, or from masks by ``of_masks``; ``sets`` gives the vertex sets."""
 
     n: int
-    sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        canon = tuple(sorted(set(self.sets), key=lambda s: (len(s), sorted(s))))
-        object.__setattr__(self, "sets", canon)
-        for v in range(1, self.n + 1):
-            if frozenset({v}) not in set(canon):
-                raise ValueError(f"laminar family must contain the singleton {{{v}}}")
+    def __init__(self, n: int, sets: Iterable[frozenset[int]]):
+        self._settle(n, [vertex_mask(s) for s in sets])  # a label below 1 raises here
+
+    @classmethod
+    def of_masks(cls, n: int, masks: Iterable[int]) -> LaminarFamily:
+        fam = cls.__new__(cls)
+        fam._settle(n, masks)
+        return fam
+
+    def _settle(self, n: int, masks: Iterable[int]) -> None:
+        canon = tuple(sorted(set(masks), key=_set_order))
+        present = set(canon)
+        for v in range(n):
+            if 1 << v not in present:
+                raise ValueError(f"laminar family must contain the singleton {{{v + 1}}}")
         for s in canon:
-            if len(s) % 2 == 0:
-                raise ValueError(f"laminar member {sorted(s)} has even size")
-            if any(v < 1 or v > self.n for v in s):
-                raise ValueError(f"laminar member {sorted(s)} out of range")
+            if s.bit_count() % 2 == 0:
+                raise ValueError(f"laminar member {list(bit_positions(s))} has even size")
+            if s >> n:
+                raise ValueError(f"laminar member {list(bit_positions(s))} out of range")
         ok, pair = laminar_check(canon)
         if not ok:
             a, b = pair
-            raise ValueError(f"sets {sorted(a)} and {sorted(b)} cross")
+            raise ValueError(f"sets {list(bit_positions(a))} and {list(bit_positions(b))} cross")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", canon)
 
-    def __contains__(self, s: frozenset[int]) -> bool:
-        return s in set(self.sets)
+    @cached_property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(bit_positions(s)) for s in self.masks)
 
-    def members_at_most(self, size: int) -> tuple[frozenset[int], ...]:
-        return tuple(s for s in self.sets if len(s) <= size)
-
-    def maximal_at_most(self, size: int) -> tuple[frozenset[int], ...]:
-        """Inclusion-maximal members of size <= size.  With all singletons
-        present these partition the vertex set."""
-        small = [s for s in self.sets if len(s) <= size]
-        out = [s for s in small if not any(s < t for t in small)]
-        return tuple(sorted(out, key=sorted))
+    def maximal_at_most(self, size: int) -> tuple[int, ...]:
+        """Masks of the inclusion-maximal members of size <= size, in vertex
+        order; with all singletons present they partition the vertex set.
+        Scanning from the largest, a member is maximal iff it misses those
+        kept (laminarity)."""
+        covered, out = 0, []
+        for s in reversed(self.masks):
+            if s.bit_count() <= size and not s & covered:
+                out.append(s)
+                covered |= s
+        return tuple(sorted(out, key=lambda s: s & -s))
 
 
 def singletons(n: int) -> LaminarFamily:
-    return LaminarFamily(n, tuple(frozenset({v}) for v in range(1, n + 1)))
+    return LaminarFamily.of_masks(n, [1 << v for v in range(n)])
+
+
+def _crosses_any(s: int, masks: Iterable[int]) -> bool:
+    """Whether s crosses one of masks; graphs.crossing inlined, as this is
+    the inner loop of every maximality scan."""
+    for t in masks:
+        common = s & t
+        if common and common != s and common != t:
+            return True
+    return False
+
+
+def extend_masks(base: LaminarFamily, candidates: Sequence[int]) -> LaminarFamily:
+    """Greedily add distinct candidate masks, given in (size, lexicographic)
+    order as tight_masks returns them, while laminarity is preserved; the
+    result is a maximal laminar subset of the candidates containing the
+    base."""
+    present = set(base.masks)
+    if not present <= set(candidates):
+        raise ValueError("candidates must contain the base family")
+    chosen = list(base.masks)
+    for s in candidates:
+        if s not in present and not _crosses_any(s, chosen):
+            chosen.append(s)
+    return LaminarFamily.of_masks(base.n, chosen)
 
 
 def extend_to_maximal_laminar(
@@ -169,18 +251,19 @@ def extend_to_maximal_laminar(
     """Greedily add candidates (size ascending, then lexicographic) while
     laminarity is preserved; the result is a maximal laminar subset of the
     candidates containing the base."""
-    cand = sorted(set(candidates), key=lambda s: (len(s), sorted(s)))
-    present = set(base.sets)
-    if not present <= set(cand):
-        raise ValueError("candidates must contain the base family")
-    chosen = list(base.sets)
-    for s in cand:
-        if s in present:
-            continue
-        if all(not crossing(s, t) for t in chosen):
-            chosen.append(s)
-            present.add(s)
-    return LaminarFamily(base.n, tuple(chosen))
+    return extend_masks(base, sorted({vertex_mask(s) for s in candidates}, key=_set_order))
+
+
+def _maximality_witness(tight: tuple[int, ...], fam: LaminarFamily) -> int | None:
+    """A member of fam that is not tight, or a tight set that fam could
+    take without crossing; None when fam is a maximal laminar subset of
+    the tight sets."""
+    tight_lookup = set(tight)
+    for s in fam.masks:
+        if s not in tight_lookup:
+            return s
+    members = set(fam.masks)
+    return next((t for t in tight if t not in members and not _crosses_any(t, fam.masks)), None)
 
 
 def _reduce_row(row: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
@@ -205,39 +288,23 @@ def laminar_spans_tight_cuts(face: Face, fam: LaminarFamily, g: Graph) -> bool:
 
     Raises if fam is not a maximal laminar subset of tight(face).
     """
-    tight = tight_odd_sets(face, g)
-    tight_set = set(tight)
-    for s in fam.sets:
-        if s not in tight_set:
-            raise ValueError(f"laminar member {sorted(s)} is not tight for the face")
-    for t in tight:
-        if t not in fam and all(not crossing(t, s) for s in fam.sets):
-            raise ValueError(f"family is not maximal: {sorted(t)} could be added")
-    support = sorted(face_support(face))
-    col = {j: i for i, j in enumerate(support)}
+    tight = tight_masks(face, g)
+    bad = _maximality_witness(tight, fam)
+    if bad is not None:
+        raise ValueError(f"not a maximal laminar family of tight sets: {list(bit_positions(bad))}")
+    support = bit_positions(face.support_mask)
 
-    def restricted(s: frozenset[int]) -> list[int]:
-        dm = g.delta_mask(vertex_mask(s))
-        row = [0] * len(support)
-        for j in edge_ids_of_mask(dm):
-            if j in col:
-                row[col[j]] = 1
-        return row
+    def restricted(s: int) -> list[int]:
+        dm = g.delta_mask(s)
+        return [(dm >> (j - 1)) & 1 for j in support]
 
     basis: list[tuple[int, list[int]]] = []
-    rank_laminar = 0
-    for s in fam.sets:
+    for s in fam.masks:
         row = _reduce_row(restricted(s), basis)
         piv = next((i for i, x in enumerate(row) if x), None)
         if piv is not None:
             basis.append((piv, row))
-            rank_laminar += 1
-    rank_all = rank_laminar
-    for t in tight:
-        row = _reduce_row(restricted(t), basis)
-        if any(row):
-            return False
-    return rank_all == rank_laminar
+    return not any(any(_reduce_row(restricted(t), basis)) for t in tight)
 
 
 @dataclass(frozen=True)
@@ -263,7 +330,7 @@ def uncross_pair(
         raise ValueError("both sets must be tight for the face")
     odd = len(s & t) % 2 == 1
     a, b = (s & t, s | t) if odd else (s - t, t - s)
-    support = sorted(face_support(face))
+    support = bit_positions(face.support_mask)
 
     def on_support(*sets: frozenset[int]) -> tuple[int, ...]:
         masks = [g.delta_mask(vertex_mask(x)) for x in sets]
@@ -287,18 +354,14 @@ class ChainLayer(NamedTuple):
     r: int
 
 
-def _forced_interiors(face: Face, g: Graph, boundary_ids: Sequence[int], interior: int) -> bool:
-    """True iff all matchings containing each boundary edge agree inside."""
-    for eid in boundary_ids:
-        bit = 1 << (eid - 1)
-        seen = None
-        for mm in face.matching_masks:
-            if mm & bit:
-                inner = mm & interior
-                if seen is None:
-                    seen = inner
-                elif inner != seen:
-                    return False
+def _forced_interiors(face: Face, boundary: int, interior: int) -> bool:
+    """True iff the matchings through each edge of a tight set's boundary
+    agree inside; each matching has exactly one boundary edge to group by."""
+    seen: dict[int, int] = {}
+    for mm in face.matching_masks:
+        inner = mm & interior
+        if seen.setdefault(mm & boundary, inner) != inner:
+            return False
     return True
 
 
@@ -310,40 +373,28 @@ def is_contractible(face: Face, target, g: Graph) -> bool:
     of boundary edges of the two chain prefixes forces the matching inside
     the layer.  Raises when the target is not tight.
     """
-    if isinstance(target, ChainLayer):
-        chain, p, r = target
-        if not (2 <= p <= r <= len(chain)):
-            raise ValueError(f"need 2 <= p <= r <= {len(chain)}, got p={p} r={r}")
-        for s in chain:
-            if not is_tight(face, g, s):
-                raise ValueError(f"chain set {sorted(s)} is not tight for the face")
-        lo, hi = chain[p - 2], chain[r - 1]
-        if not lo < hi:
-            raise ValueError("chain sets must be strictly nested")
-        u_mask = vertex_mask(hi) & ~vertex_mask(lo)
-        interior = g.interior_mask(u_mask)
-        lo_delta = sorted(edge_ids_of_mask(g.delta_mask(vertex_mask(lo))))
-        hi_delta = sorted(edge_ids_of_mask(g.delta_mask(vertex_mask(hi))))
-        for e_lo in lo_delta:
-            bit_lo = 1 << (e_lo - 1)
-            for e_hi in hi_delta:
-                bit_hi = 1 << (e_hi - 1)
-                seen = None
-                for mm in face.matching_masks:
-                    if mm & bit_lo and mm & bit_hi:
-                        inner = mm & interior
-                        if seen is None:
-                            seen = inner
-                        elif inner != seen:
-                            return False
-        return True
-    s: frozenset[int] = target
-    if not is_tight(face, g, s):
-        raise ValueError(f"set {sorted(s)} is not tight for the face")
-    sm = vertex_mask(s)
-    interior = g.interior_mask(sm)
-    boundary = sorted(edge_ids_of_mask(g.delta_mask(sm)))
-    return _forced_interiors(face, g, boundary, interior)
+    if not isinstance(target, ChainLayer):
+        return contractible_mask(face, vertex_mask(target), g)
+    chain, p, r = target
+    if not (2 <= p <= r <= len(chain)):
+        raise ValueError(f"need 2 <= p <= r <= {len(chain)}, got p={p} r={r}")
+    masks = [vertex_mask(s) for s in chain]
+    for s in masks:
+        if not _is_tight(face, g, s):
+            raise ValueError(f"chain set {list(bit_positions(s))} is not tight for the face")
+    lo, hi = masks[p - 2], masks[r - 1]
+    if lo & hi != lo or lo == hi:
+        raise ValueError("chain sets must be strictly nested")
+    # Both prefixes are tight, so a matching meets the union of their
+    # boundaries in just its pair of boundary edges: grouping by pair.
+    return _forced_interiors(face, g.delta_mask(lo) | g.delta_mask(hi), g.interior_mask(hi & ~lo))
+
+
+def contractible_mask(face: Face, s: int, g: Graph) -> bool:
+    """Plain-form contractibility of a vertex mask; raises when not tight."""
+    if not _is_tight(face, g, s):
+        raise ValueError(f"set {list(bit_positions(s))} is not tight for the face")
+    return _forced_interiors(face, g.delta_mask(s), g.interior_mask(s))
 
 
 @dataclass(frozen=True)
@@ -361,6 +412,10 @@ class ContractionMultigraph:
     @property
     def node_weights(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.nodes)
+
+    @cached_property
+    def node_masks(self) -> tuple[int, ...]:
+        return tuple(vertex_mask(s) for s in self.nodes)
 
     @cached_property
     def edge_id_set(self) -> frozenset[int]:
@@ -381,30 +436,24 @@ def contract_face(
     """The contraction of the graph at the given size threshold."""
     if not (1 <= threshold <= 2 * g.n):
         raise ValueError(f"threshold must be in 1..{2 * g.n}")
-    for s in fam.sets:
-        if not is_tight(face, g, s):
-            raise ValueError(f"laminar member {sorted(s)} is not tight for the face")
+    erased = 0
+    for s in fam.masks:
+        if not _is_tight(face, g, s):
+            raise ValueError(f"laminar member {list(bit_positions(s))} is not tight for the face")
+        if s.bit_count() > threshold:
+            erased |= g.delta_mask(s)
     nodes = fam.maximal_at_most(threshold)
-    node_of = {}
-    for idx, s in enumerate(nodes):
-        for v in s:
-            node_of[v] = idx
+    node_of = {v: idx for idx, s in enumerate(nodes) for v in bit_positions(s)}
     if len(node_of) != g.n:
         raise EngineError("maximal small sets must partition the vertices")
-    erased = 0
-    for s in fam.sets:
-        if len(s) > threshold:
-            erased |= g.delta_mask(vertex_mask(s))
     edges = []
-    for eid in sorted(face_support(face)):
-        if erased & (1 << (eid - 1)):
-            continue
+    for eid in bit_positions(face.support_mask & ~erased):
         u, v = g.endpoints(eid)
         a, b = node_of[u], node_of[v]
-        if a == b:
-            continue
-        edges.append((min(a, b), max(a, b), eid))
-    return ContractionMultigraph(g.m, nodes, tuple(edges))
+        if a != b:
+            edges.append((min(a, b), max(a, b), eid))
+    node_sets = tuple(frozenset(bit_positions(s)) for s in nodes)
+    return ContractionMultigraph(g.m, node_sets, tuple(edges))
 
 
 def canonical_sign(vec: Sequence[int]) -> tuple[int, ...]:
@@ -510,24 +559,6 @@ def bounded_circuit_vectors(h: ContractionMultigraph, max_node_weight: int) -> t
     return tuple(sorted(results))
 
 
-def _node_union_tight_masks(face: Face, g: Graph, h: ContractionMultigraph) -> list[int]:
-    node_masks = [vertex_mask(s) for s in h.nodes]
-    out = []
-    for tmask in _tight_odd_masks(face.matching_masks, g):
-        union = 0
-        exact = True
-        for nm in node_masks:
-            inter = nm & tmask
-            if inter == nm:
-                union |= nm
-            elif inter:
-                exact = False
-                break
-        if exact and union == tmask:
-            out.append(tmask)
-    return out
-
-
 def respects_face(
     y: Sequence[int],
     face: Face,
@@ -539,25 +570,17 @@ def respects_face(
     unions of contraction nodes; spanning makes that restriction exact)."""
     if len(y) != g.m:
         raise ValueError(f"vector length {len(y)} does not match edge count {g.m}")
-    ymask = 0
-    for i, c in enumerate(y):
-        if c:
-            ymask |= 1 << i
+    ymask = edge_mask(j for j, c in enumerate(y, start=1) if c)
     if ymask & ~face.support_mask:
         return False
-    if contraction is None:
-        masks = _tight_odd_masks(face.matching_masks, g)
-    else:
-        masks = _node_union_tight_masks(face, g, contraction)
+    masks = _tight_odd_masks(face.matching_masks, g)
+    if contraction is not None:
+        # The nodes partition the vertices: a union of nodes is a set that
+        # no node straddles.
+        nodes = contraction.node_masks
+        masks = [t for t in masks if not any(nm & t and nm & t != nm for nm in nodes)]
     for tmask in masks:
-        dm = g.delta_mask(tmask)
-        total = 0
-        rest = dm & ymask
-        while rest:
-            low = rest & -rest
-            total += y[low.bit_length() - 1]
-            rest ^= low
-        if total != 0:
+        if sum(y[j - 1] for j in bit_positions(g.delta_mask(tmask) & ymask)):
             return False
     return True
 
@@ -576,24 +599,20 @@ def lift_contracted_vector(
     """
     if len(z) != g.m:
         raise ValueError(f"vector length {len(z)} does not match edge count {g.m}")
-    zmask = 0
-    for i, c in enumerate(z):
-        if c:
-            if (i + 1) not in h.edge_id_set:
-                raise ValueError(f"vector touches edge {i + 1} outside the contraction")
-            zmask |= 1 << i
+    zmask = edge_mask(j for j, c in enumerate(z, start=1) if c)
+    outside = bit_positions(zmask & ~edge_mask(h.edge_id_set))
+    if outside:
+        raise ValueError(f"vector touches edge {outside[0]} outside the contraction")
     if zmask & ~face.support_mask:
         raise ValueError("vector support must lie inside the face support")
     y = list(z)
-    for s in h.nodes:
-        if len(s) == 1:
+    for sm in h.node_masks:
+        if sm.bit_count() == 1:
             continue
-        sm = vertex_mask(s)
-        dm = g.delta_mask(sm)
-        boundary = sorted(edge_ids_of_mask(dm & zmask))
+        boundary = bit_positions(g.delta_mask(sm) & zmask)
         balance = sum(z[eid - 1] for eid in boundary)
         if balance != 0:
-            raise ValueError(f"vector is unbalanced at node {sorted(s)}")
+            raise ValueError(f"vector is unbalanced at node {list(bit_positions(sm))}")
         pos = []
         neg = []
         for eid in boundary:
@@ -614,7 +633,7 @@ def lift_contracted_vector(
                             inner = part
                         elif part != inner:
                             raise ValueError(
-                                f"interior of {sorted(s)} not forced by edge {eid}: "
+                                f"interior of {list(bit_positions(sm))} not forced by edge {eid}: "
                                 "contractibility precondition violated"
                             )
                 if inner is None:
@@ -623,9 +642,9 @@ def lift_contracted_vector(
             return forced[eid]
 
         for e_plus, e_minus in zip(pos, neg):
-            for eid in edge_ids_of_mask(forced_interior(e_plus)):
+            for eid in bit_positions(forced_interior(e_plus)):
                 y[eid - 1] += 1
-            for eid in edge_ids_of_mask(forced_interior(e_minus)):
+            for eid in bit_positions(forced_interior(e_minus)):
                 y[eid - 1] -= 1
     z_norm = sum(abs(c) for c in z)
     if sum(abs(c) for c in y) > g.n * z_norm:
@@ -653,18 +672,12 @@ def goodness_check(face: Face, fam: LaminarFamily, threshold: int, g: Graph) -> 
 
     Returns which clause failed and a witness when not good.
     """
-    tight = tight_odd_sets(face, g)
-    tight_lookup = set(tight)
-    for s in fam.sets:
-        if s not in tight_lookup:
-            return GoodnessReport(False, "maximality", s)
-    fam_lookup = set(fam.sets)
-    for t in tight:
-        if t not in fam_lookup and all(not crossing(t, s) for s in fam.sets):
-            return GoodnessReport(False, "maximality", t)
-    for s in fam.sets:
-        if len(s) <= threshold and not is_contractible(face, s, g):
-            return GoodnessReport(False, "contractibility", s)
+    bad = _maximality_witness(tight_masks(face, g), fam)
+    if bad is not None:
+        return GoodnessReport(False, "maximality", frozenset(bit_positions(bad)))
+    for s in fam.masks:
+        if s.bit_count() <= threshold and not contractible_mask(face, s, g):
+            return GoodnessReport(False, "contractibility", frozenset(bit_positions(s)))
     h = contract_face(face, fam, threshold, g)
     vectors = bounded_circuit_vectors(h, threshold)
     if vectors:

@@ -38,6 +38,10 @@ class EngineError(RuntimeError):
     """A verified pipeline invariant failed; indicates a bug, never a bad input."""
 
 
+class NoPerfectMatchingError(ValueError):
+    """The input graph has no perfect matching."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable graph with lexicographic edge ids.
@@ -109,12 +113,11 @@ class Graph:
         return acc
 
     def interior_mask(self, vertex_mask: int) -> int:
-        """Edge bitmask of E(S): edges with both endpoints inside S."""
-        acc = 0
-        for j, em in enumerate(self.endpoint_masks):
-            if em & vertex_mask == em:
-                acc |= 1 << j
-        return acc
+        """Edge bitmask of E(S): the edges touching S less the cut."""
+        touching = 0
+        for v in bit_positions(vertex_mask):
+            touching |= self.incidence_masks[v - 1]
+        return touching & ~self.delta_mask(vertex_mask)
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -124,22 +127,15 @@ def vertex_mask(vertices: Iterable[int]) -> int:
     return acc
 
 
-def mask_vertices(mask: int) -> frozenset[int]:
+def bit_positions(mask: int) -> tuple[int, ...]:
+    """1-based positions of the set bits, ascending: the vertices of a
+    vertex mask, or the edge ids of an edge mask."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length())
         mask ^= low
-    return frozenset(out)
-
-
-def edge_ids_of_mask(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return frozenset(out)
+    return tuple(out)
 
 
 def edge_mask(edge_ids: Iterable[int]) -> int:
@@ -214,7 +210,7 @@ def cut_and_interior(g: Graph, s: Iterable[int]) -> tuple[tuple[int, ...], tuple
         sm |= 1 << (v - 1)
     dm = g.delta_mask(sm)
     im = g.interior_mask(sm)
-    return tuple(sorted(edge_ids_of_mask(dm))), tuple(sorted(edge_ids_of_mask(im)))
+    return bit_positions(dm), bit_positions(im)
 
 
 def is_perfect_matching(g: Graph, edge_ids: Iterable[int]) -> bool:
@@ -626,16 +622,16 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, int]]) -> list[int]
     return [endpoint[p] if p >= 0 else -1 for p in mate]
 
 
-def crossing(s: frozenset[int], t: frozenset[int]) -> bool:
-    """S and T cross when S&T, S-T and T-S are all nonempty."""
-    return bool(s & t) and bool(s - t) and bool(t - s)
+def crossing(s, t) -> bool:
+    """S and T cross when S&T, S-T and T-S are all nonempty: S&T is neither
+    empty nor S nor T.  Takes two vertex masks or two frozensets."""
+    common = s & t
+    return bool(common) and common != s and common != t
 
 
-def laminar_check(
-    sets: Iterable[frozenset[int]],
-) -> tuple[bool, tuple[frozenset[int], frozenset[int]] | None]:
+def laminar_check(sets: Iterable) -> tuple[bool, tuple | None]:
     """True iff pairwise non-crossing; otherwise also the first crossing pair
-    in scan order."""
+    in scan order.  Takes vertex masks or frozensets."""
     seq = list(sets)
     for i in range(len(seq)):
         for j in range(i + 1, len(seq)):

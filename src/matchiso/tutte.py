@@ -128,11 +128,13 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
     return det % p
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all of _MR_BASES (Sorenson and Webster, Math. Comp. 2017).
+MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(x: int) -> bool:
-    """Deterministic Miller-Rabin for x < 3.3e24 (covers all uses here)."""
+    """Deterministic Miller-Rabin for x < MR_BOUND, about 3.3e24."""
     if x < 2:
         return False
     for p in _MR_BASES:
@@ -222,6 +224,8 @@ def decide_random(g: Graph, prime: int, trials: int, seed: int) -> bool:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if prime >= MR_BOUND:
+        raise ValueError(f"prime {prime} is not below the primality-test bound {MR_BOUND}")
     if not is_prime(prime):
         raise ValueError(f"{prime} is not prime")
     if prime <= g.n * g.n:

@@ -272,6 +272,50 @@ def test_exit_code_domain_error(capsys, c4_file):
     assert code == 4  # 100 is not prime
 
 
+@pytest.mark.parametrize("prime", [
+    "318665857834031151167461",  # strong pseudoprime to the bases 2..37
+    "3317044064679887385961981",  # the primality-test bound, itself composite
+])
+def test_decide_refuses_a_composite_or_unprovable_modulus(capsys, c4_file, prime):
+    code, out, err = run(capsys, "decide", "--graph", c4_file, "--prime", prime, "--seed", "1")
+    assert code == 4 and out == ""
+    assert prime in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--weights", "1,x,1,2"],
+    ["face", "--weights", "7,2.5"],
+    ["goodness", "--lambda", "1", "--weights", "x"],
+])
+def test_non_integer_weights_are_a_parse_error(capsys, c4_file, argv):
+    code, out, err = run(capsys, argv[0], "--graph", c4_file, *argv[1:])
+    assert code == 2 and out == ""
+    assert "--weights" in err
+
+
+def test_non_integer_concat_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "weights", "--n", "4", "--concat", "2,six")
+    assert code == 2 and out == ""
+    assert "--concat" in err
+
+
+GOLDEN = [json.loads(line) for line in (DATA / "derand_golden.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
+def test_isolate_derandomized_reports_match_golden(capsys, tmp_path, case):
+    """Reports recorded with the frozenset-based faces layer, for the cube,
+    Petersen, K8, K10 and twenty seeded planted graphs at n = 8 and 10,
+    must come out byte for byte the same, ms aside."""
+    path = tmp_path / "graph.txt"
+    path.write_text(case["graph"])
+    code, out, _ = run(capsys, "isolate", "--graph", str(path), "--derandomized")
+    assert code == 0
+    report = payload(out)
+    del report["ms"]
+    assert json.dumps(report, separators=(",", ":")) == case["report"]
+
+
 def test_pretty_flag(capsys, c4_file):
     code, out, _ = run(capsys, "--pretty", "face", "--graph", c4_file)
     assert code == 0

@@ -226,13 +226,16 @@ def test_isolate_randomized_same_certificates_as_brute_force_filter():
 
 def test_isolate_randomized_above_the_guard_enumerates_nothing(monkeypatch):
     """One path for every n: no matching enumeration, no brute-force check."""
-    import matchiso.engine as engine
+    from matchiso import engine, faces, graphs, weights
 
     def forbidden(*args, **kwargs):
         raise AssertionError("exhaustive oracle called")
 
-    monkeypatch.setattr(engine, "enumerate_perfect_matchings", forbidden)
-    monkeypatch.setattr(engine, "is_isolating", forbidden)
+    # Every module that binds an exhaustive oracle gets the forbidden one.
+    for module in (graphs, weights, faces, engine):
+        for name in ("enumerate_perfect_matchings", "is_isolating"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
     g = random_graph_with_pm(20, 0.2, random.Random(5))
     cert = isolate_randomized(g, seed=4)
     out = determinant_search(g, cert.weight)

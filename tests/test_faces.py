@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from matchiso import (
     enumerate_perfect_matchings,
     extend_to_maximal_laminar,
     face_support,
+    family_member,
     goodness_check,
     graph_from_edges,
     is_contractible,
@@ -27,8 +29,17 @@ from matchiso import (
     tight_odd_sets,
     uncross_pair,
 )
-from matchiso.faces import alternating_indicator, canonical_sign, singletons
+from matchiso.faces import (
+    _tight_odd_masks,
+    alternating_indicator,
+    canonical_sign,
+    is_tight,
+    singletons,
+)
+from matchiso.graphs import bit_positions
 from matchiso.weights import random_weights
+
+from conftest import random_graph_with_pm
 
 f = frozenset
 
@@ -147,6 +158,31 @@ def test_tight_odd_sets_match_oracle(n, data):
         return
     face = perfect_matching_face(g)
     assert list(tight_odd_sets(face, g)) == tight_sets_oracle(face, g)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_gray_code_tight_sets_match_oracle_on_larger_graphs(n):
+    """The Gray-code walk against explicit subsets, on seeded graphs above
+    the hypothesis range and on a min-weight subface of each."""
+    rng = random.Random(n)
+    for _ in range(3):
+        g = random_graph_with_pm(n, 0.35, rng)
+        whole = perfect_matching_face(g)
+        # A small family member ties many matchings, so the subface is rarely a point.
+        for face in (whole, min_weight_subface(whole, family_member(rng.randint(2, 4), g.n, g.m))):
+            got = [f(bit_positions(s)) for s in _tight_odd_masks(face.matching_masks, g)]
+            assert got == tight_sets_oracle(face, g)
+
+
+def test_mask_tightness_matches_oracle_on_every_set():
+    rng = random.Random(8)
+    g = random_graph_with_pm(8, 0.4, rng)
+    whole = perfect_matching_face(g)
+    for face in (whole, min_weight_subface(whole, random_weights(g, 3))):
+        tight = set(tight_sets_oracle(face, g))
+        for size in range(1, 9):
+            for s in itertools.combinations(range(1, 9), size):
+                assert is_tight(face, g, f(s)) == (f(s) in tight)
 
 
 def test_extend_to_maximal_laminar_c4(c4):

@@ -17,6 +17,8 @@ from matchiso import (
     parse_graph,
 )
 
+from matchiso.graphs import crossing, vertex_mask
+
 from conftest import random_graph
 
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n4 1\n"
@@ -140,6 +142,16 @@ def test_enumeration_consistency(n, data):
     assert len(set(pms)) == len(pms)
     for mm in pms:
         assert is_perfect_matching(g, mm)
+
+
+def test_crossing_on_masks_matches_set_definition():
+    rng = random.Random(11)
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        s, t = (frozenset(v for v in range(1, n + 1) if rng.random() < 0.5) for _ in range(2))
+        expected = bool(s & t) and bool(s - t) and bool(t - s)
+        assert crossing(vertex_mask(s), vertex_mask(t)) == expected
+        assert crossing(s, t) == expected
 
 
 def test_laminar_check_cases():

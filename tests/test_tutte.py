@@ -16,6 +16,7 @@ from matchiso import (
     graph_from_edges,
 )
 from matchiso.tutte import (
+    MR_BOUND,
     STATUS_MATCHED,
     STATUS_NO_PM,
     STATUS_NOT_ISOLATING,
@@ -155,6 +156,26 @@ def test_is_prime_small():
     ]
     assert is_prime((1 << 31) - 1)
     assert not is_prime((1 << 29) - 1)
+
+
+# Least strong pseudoprime to the twelve prime bases 2..37; base 41 exposes it.
+PSEUDOPRIME_2_TO_37 = 318665857834031151167461
+
+
+def test_is_prime_rejects_the_strong_pseudoprime_to_bases_up_to_37():
+    assert PSEUDOPRIME_2_TO_37 == 399165290221 * 798330580441
+    assert not is_prime(PSEUDOPRIME_2_TO_37)
+
+
+def test_decide_random_refuses_moduli_outside_the_primality_bound(c4):
+    with pytest.raises(ValueError, match="not prime"):
+        decide_random(c4, prime=PSEUDOPRIME_2_TO_37, trials=1, seed=0)
+    # MR_BOUND is composite and passes every base; 2^89 - 1 is a prime above it.
+    assert MR_BOUND == 1287836182261 * 2575672364521 and is_prime(MR_BOUND)
+    for modulus in (MR_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match="bound"):
+            decide_random(c4, prime=modulus, trials=1, seed=0)
+    assert decide_random(c4, prime=2**61 - 1, trials=1, seed=0) is True
 
 
 def test_search_isolating_c4(c4):
