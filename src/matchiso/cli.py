@@ -11,6 +11,7 @@ for identical input, flags and seed, except for the wall-clock "ms" field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -218,6 +219,7 @@ def _cmd_bench(args) -> dict:
     return {"n": n, "edges": g.m, "detBits": det.value.bit_length()}
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="matchiso")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")

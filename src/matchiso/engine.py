@@ -41,15 +41,16 @@ from .faces import (
     LaminarFamily,
     bounded_circuit_vectors,
     canonical_sign,
-    contract_face,
     contractible_mask,
     extend_masks,
+    forcing_groups,
     goodness_check,
     lift_contracted_vector,
     min_weight_subface,
     perfect_matching_face,
     respects_face,
     singletons,
+    tight_contraction,
     tight_masks,
 )
 from .tutte import STATUS_MATCHED, STATUS_NO_PM, SearchOutcome, determinant_search
@@ -126,9 +127,11 @@ def remove_circuits(
     the face (the lifting step needs the forced interiors).  The circuit
     vectors are lifted to ambient edge vectors, a separating family member
     is found for them, and the face is minimized; the postcondition is then
-    verified circuit by circuit.
+    verified circuit by circuit.  The members must be tight for the face;
+    the callers pass a good state's family with a subface of its face, on
+    which they stay tight, so that is not re-proved here.
     """
-    h = contract_face(face, fam, beta, g)
+    h = tight_contraction(face, fam, beta, g)
     circuit_vecs = bounded_circuit_vectors(h, bound)
     lifted = [lift_contracted_vector(z, face, h, g) for z in circuit_vecs]
     k, w = _find_member(lifted, g.n, g.m)
@@ -186,34 +189,14 @@ def _layer_difference_vectors(
     g: Graph,
 ) -> set[tuple[int, ...]]:
     """Obligations that make the layer U_{p..r} contractible: for each
-    admissible boundary pair, the differences of the distinct interior
-    matchings that the current face still allows."""
-    hi_mask = chain[r - 1]
-    if p >= 2:
-        lo_mask = chain[p - 2]
-        u_mask = hi_mask & ~lo_mask
-        lo_ids = bit_positions(g.delta_mask(lo_mask))
-    else:
-        u_mask = hi_mask
-        lo_ids = [None]
-    interior = g.interior_mask(u_mask)
-    hi_ids = bit_positions(g.delta_mask(hi_mask))
+    boundary pair that the face's matchings use, the differences of the
+    distinct interior matchings that the face still allows.  The chain
+    sets are tight for the face (see make_chains_contractible)."""
+    lo = chain[p - 2] if p >= 2 else 0
     out: set[tuple[int, ...]] = set()
-    for e_lo in lo_ids:
-        bit_lo = 0 if e_lo is None else 1 << (e_lo - 1)
-        for e_hi in hi_ids:
-            bit_hi = 1 << (e_hi - 1)
-            need = bit_lo | bit_hi
-            interiors = {mm & interior for mm in face.matching_masks if mm & need == need}
-            if len(interiors) < 2:
-                continue
-            for a, b in combinations(sorted(interiors), 2):
-                vec = [0] * g.m
-                for j in bit_positions(a & ~b):
-                    vec[j - 1] = 1
-                for j in bit_positions(b & ~a):
-                    vec[j - 1] = -1
-                out.add(canonical_sign(vec))
+    for inners in forcing_groups(face, g, chain[r - 1], lo).values():
+        for a, b in combinations(inners, 2):
+            out.add(canonical_sign([(a >> i & 1) - (b >> i & 1) for i in range(g.m)]))
     return out
 
 
@@ -260,6 +243,8 @@ def make_chains_contractible(
                     )
                 )
                 cur = new_face
+    # The members are tight on face, as the state is good, so on its
+    # subface cur; contractible_mask does not re-prove it.
     for s in fam.masks:
         if s.bit_count() <= 2 * threshold and not contractible_mask(cur, s, g):
             raise EngineError(f"set {list(bit_positions(s))} not contractible after chain phases")

@@ -73,6 +73,11 @@ class Face:
     def side_by_side(self) -> tuple[int, int, int]:
         return _side_by_side(self.matching_masks)
 
+    @cached_property
+    def forcing_memo(self) -> dict[tuple[int, int], dict[int, tuple[int, ...]]]:
+        """What forcing_groups has found on this face."""
+        return {}
+
 
 def perfect_matching_face(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> Face:
     """The whole polytope: hull of all perfect matchings."""
@@ -106,9 +111,13 @@ def _side_by_side(matching_masks: tuple[int, ...]) -> tuple[int, int, int]:
     return (1 << 8 * size) - 1, repunit, packed
 
 
-def _set_order(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Sort key of a vertex mask: size, then the ascending vertex list."""
-    return mask.bit_count(), bit_positions(mask)
+def _set_sorted(masks: Iterable[int]) -> list[int]:
+    """Distinct vertex masks by size, then by ascending vertex list.  Of
+    two sets of one size, the one holding the lowest vertex where they
+    differ comes first: its bit string, read from bit 0, is the larger."""
+    out = sorted(masks, key=lambda s: format(s, "b")[::-1], reverse=True)
+    out.sort(key=int.bit_count)
+    return out
 
 
 @lru_cache(maxsize=256)  # hits come from re-reads within one graph's pipeline
@@ -133,8 +142,7 @@ def _tight_odd_masks(matching_masks: tuple[int, ...], g: Graph) -> tuple[int, ..
             cut ^= inc[1] ^ inc[v]
         if (cut & first).bit_count() == 1 and ((cut & field) * repunit & packed).bit_count() == k:
             out += (s, full ^ s)
-    out.sort(key=_set_order)
-    return tuple(out)
+    return tuple(_set_sorted(out))
 
 
 def tight_masks(face: Face, g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> tuple[int, ...]:
@@ -182,7 +190,7 @@ class LaminarFamily:
         return fam
 
     def _settle(self, n: int, masks: Iterable[int]) -> None:
-        canon = tuple(sorted(set(masks), key=_set_order))
+        canon = tuple(_set_sorted(set(masks)))
         present = set(canon)
         for v in range(n):
             if 1 << v not in present:
@@ -251,7 +259,7 @@ def extend_to_maximal_laminar(
     """Greedily add candidates (size ascending, then lexicographic) while
     laminarity is preserved; the result is a maximal laminar subset of the
     candidates containing the base."""
-    return extend_masks(base, sorted({vertex_mask(s) for s in candidates}, key=_set_order))
+    return extend_masks(base, _set_sorted({vertex_mask(s) for s in candidates}))
 
 
 def _maximality_witness(tight: tuple[int, ...], fam: LaminarFamily) -> int | None:
@@ -324,24 +332,26 @@ def uncross_pair(
     the boundary-indicator identity holds coordinatewise on the support of
     the face, and both returned sets are verified tight.
     """
-    if not crossing(s, t):
+    sm, tm = vertex_mask(s), vertex_mask(t)
+    if not crossing(sm, tm):
         raise ValueError("sets do not cross")
-    if not is_tight(face, g, s) or not is_tight(face, g, t):
+    if not _is_tight(face, g, sm) or not _is_tight(face, g, tm):
         raise ValueError("both sets must be tight for the face")
-    odd = len(s & t) % 2 == 1
-    a, b = (s & t, s | t) if odd else (s - t, t - s)
-    support = bit_positions(face.support_mask)
+    odd = (sm & tm).bit_count() % 2 == 1
+    am, bm = (sm & tm, sm | tm) if odd else (sm & ~tm, tm & ~sm)
+    shifts = [j - 1 for j in bit_positions(face.support_mask)]
 
-    def on_support(*sets: frozenset[int]) -> tuple[int, ...]:
-        masks = [g.delta_mask(vertex_mask(x)) for x in sets]
-        return tuple(sum((dm >> (j - 1)) & 1 for dm in masks) for j in support)
+    def on_support(x: int, y: int) -> tuple[int, ...]:
+        dx, dy = g.delta_mask(x), g.delta_mask(y)
+        return tuple((dx >> j & 1) + (dy >> j & 1) for j in shifts)
 
-    lhs = on_support(s, t)
-    rhs = on_support(a, b)
+    lhs = on_support(sm, tm)
+    rhs = on_support(am, bm)
     if lhs != rhs:
-        raise AssertionError("uncrossing identity failed on the face support")
-    if not is_tight(face, g, a) or not is_tight(face, g, b):
-        raise AssertionError("uncrossed sets are not tight")
+        raise EngineError("uncrossing identity failed on the face support")
+    if not _is_tight(face, g, am) or not _is_tight(face, g, bm):
+        raise EngineError("uncrossed sets are not tight")
+    a, b = frozenset(bit_positions(am)), frozenset(bit_positions(bm))
     return a, b, UncrossCertificate((a, b), odd, lhs, rhs)
 
 
@@ -354,15 +364,22 @@ class ChainLayer(NamedTuple):
     r: int
 
 
-def _forced_interiors(face: Face, boundary: int, interior: int) -> bool:
-    """True iff the matchings through each edge of a tight set's boundary
-    agree inside; each matching has exactly one boundary edge to group by."""
-    seen: dict[int, int] = {}
-    for mm in face.matching_masks:
-        inner = mm & interior
-        if seen.setdefault(mm & boundary, inner) != inner:
-            return False
-    return True
+def forcing_groups(face: Face, g: Graph, hi: int, lo: int = 0) -> dict[int, tuple[int, ...]]:
+    """The one "boundary edges force the interior" primitive, on the layer
+    hi - lo of two nested tight vertex masks (lo = 0: the set hi).  Every
+    matching meets the boundaries of lo and hi in one edge or one pair;
+    the matchings are grouped by it, and each group maps to the distinct
+    edge masks its matchings use inside the layer, ascending.  The layer is
+    contractible iff every group has one interior.  Memoized on the face."""
+    boundary, interior = g.delta_mask(lo) | g.delta_mask(hi), g.interior_mask(hi & ~lo)
+    groups = face.forcing_memo.get((boundary, interior))
+    if groups is None:
+        acc: dict[int, set[int]] = {}
+        for mm in face.matching_masks:
+            acc.setdefault(mm & boundary, set()).add(mm & interior)
+        groups = {key: tuple(sorted(inners)) for key, inners in acc.items()}
+        face.forcing_memo[boundary, interior] = groups
+    return groups
 
 
 def is_contractible(face: Face, target, g: Graph) -> bool:
@@ -374,27 +391,29 @@ def is_contractible(face: Face, target, g: Graph) -> bool:
     the layer.  Raises when the target is not tight.
     """
     if not isinstance(target, ChainLayer):
-        return contractible_mask(face, vertex_mask(target), g)
-    chain, p, r = target
-    if not (2 <= p <= r <= len(chain)):
-        raise ValueError(f"need 2 <= p <= r <= {len(chain)}, got p={p} r={r}")
-    masks = [vertex_mask(s) for s in chain]
+        masks = [vertex_mask(target)]
+        lo, hi = 0, masks[0]
+    else:
+        chain, p, r = target
+        if not (2 <= p <= r <= len(chain)):
+            raise ValueError(f"need 2 <= p <= r <= {len(chain)}, got p={p} r={r}")
+        masks = [vertex_mask(s) for s in chain]
+        lo, hi = masks[p - 2], masks[r - 1]
+        if lo & hi != lo or lo == hi:
+            raise ValueError("chain sets must be strictly nested")
     for s in masks:
         if not _is_tight(face, g, s):
-            raise ValueError(f"chain set {list(bit_positions(s))} is not tight for the face")
-    lo, hi = masks[p - 2], masks[r - 1]
-    if lo & hi != lo or lo == hi:
-        raise ValueError("chain sets must be strictly nested")
-    # Both prefixes are tight, so a matching meets the union of their
-    # boundaries in just its pair of boundary edges: grouping by pair.
-    return _forced_interiors(face, g.delta_mask(lo) | g.delta_mask(hi), g.interior_mask(hi & ~lo))
+            raise ValueError(f"set {list(bit_positions(s))} is not tight for the face")
+    return contractible_mask(face, hi, g, lo)
 
 
-def contractible_mask(face: Face, s: int, g: Graph) -> bool:
-    """Plain-form contractibility of a vertex mask; raises when not tight."""
-    if not _is_tight(face, g, s):
-        raise ValueError(f"set {list(bit_positions(s))} is not tight for the face")
-    return _forced_interiors(face, g.delta_mask(s), g.interior_mask(s))
+def contractible_mask(face: Face, s: int, g: Graph, lo: int = 0) -> bool:
+    """Contractibility of a vertex mask, or of the layer s - lo, whose sets
+    the callers know to be tight for the face.  A singleton has no
+    interior, so it is contractible on every face."""
+    if not s & (s - 1):
+        return True
+    return all(len(inners) == 1 for inners in forcing_groups(face, g, s, lo).values())
 
 
 @dataclass(frozen=True)
@@ -433,13 +452,24 @@ class ContractionMultigraph:
 def contract_face(
     face: Face, fam: LaminarFamily, threshold: int, g: Graph
 ) -> ContractionMultigraph:
-    """The contraction of the graph at the given size threshold."""
+    """The contraction of the graph at the given size threshold; raises
+    when a member of the family is not tight for the face."""
+    # Every perfect matching covers a vertex once: singletons are tight on
+    # every face and are not tested.
+    for s in fam.masks[fam.n :]:
+        if not _is_tight(face, g, s):
+            raise ValueError(f"laminar member {list(bit_positions(s))} is not tight for the face")
+    return tight_contraction(face, fam, threshold, g)
+
+
+def tight_contraction(
+    face: Face, fam: LaminarFamily, threshold: int, g: Graph
+) -> ContractionMultigraph:
+    """contract_face for a family that the caller knows to be tight."""
     if not (1 <= threshold <= 2 * g.n):
         raise ValueError(f"threshold must be in 1..{2 * g.n}")
     erased = 0
     for s in fam.masks:
-        if not _is_tight(face, g, s):
-            raise ValueError(f"laminar member {list(bit_positions(s))} is not tight for the face")
         if s.bit_count() > threshold:
             erased |= g.delta_mask(s)
     nodes = fam.maximal_at_most(threshold)
@@ -531,11 +561,8 @@ def bounded_circuit_vectors(h: ContractionMultigraph, max_node_weight: int) -> t
     vec = [0] * h.m
 
     def dfs(anchor: int, start: int, cur: int, pos: int, used: int):
-        # used counts the tails of the edges taken so far; taking one more
-        # edge from cur adds weights[cur].
-        nu = used + weights[cur]
-        if nu > max_node_weight:
-            return
+        # used counts the tails of the edges taken so far and of the next
+        # one, out of cur; each call is entered only within the bound.
         sign = 1 if pos % 2 == 0 else -1
         can_close = pos % 2 == 1
         for eid, nxt in adj[cur]:
@@ -545,17 +572,18 @@ def bounded_circuit_vectors(h: ContractionMultigraph, max_node_weight: int) -> t
             vec[idx] += sign
             if can_close and nxt == start and any(vec):
                 results.add(canonical_sign(vec))
-            dfs(anchor, start, nxt, pos + 1, nu)
+            nu = used + weights[nxt]
+            if nu <= max_node_weight:
+                dfs(anchor, start, nxt, pos + 1, nu)
             vec[idx] -= sign
 
     for a, b, eid in h.edges:
         for start, nxt in ((a, b), (b, a)):
-            if weights[start] > max_node_weight:
-                continue
-            idx = eid - 1
-            vec[idx] += 1
-            dfs(eid, start, nxt, 1, weights[start])
-            vec[idx] -= 1
+            used = weights[start] + weights[nxt]
+            if used <= max_node_weight:
+                vec[eid - 1] += 1
+                dfs(eid, start, nxt, 1, used)
+                vec[eid - 1] -= 1
     return tuple(sorted(results))
 
 
@@ -591,11 +619,12 @@ def lift_contracted_vector(
     """Extend a balanced vector on the contraction's edges to the ambient
     edge space by inserting the forced interior matchings of each node.
 
-    Positive and negative boundary multiplicities are paired per node in
-    ascending edge order; each paired edge contributes the unique interior
-    matching that the face forces once that boundary edge is fixed.  The
-    result keeps 1-norm at most n times that of the input, and respects any
-    subface that the input respects.
+    Each boundary edge e of a node adds z_e times the unique interior
+    matching that the face forces once e is fixed, so the positive and the
+    negative multiplicities at a balanced node insert as many interiors
+    each.  The result keeps 1-norm at most n times that of the input, and
+    respects any subface that the input respects.  Raises when a node is
+    not tight for the face or not contractible.
     """
     if len(z) != g.m:
         raise ValueError(f"vector length {len(z)} does not match edge count {g.m}")
@@ -610,44 +639,23 @@ def lift_contracted_vector(
         if sm.bit_count() == 1:
             continue
         boundary = bit_positions(g.delta_mask(sm) & zmask)
-        balance = sum(z[eid - 1] for eid in boundary)
-        if balance != 0:
+        if sum(z[eid - 1] for eid in boundary):
             raise ValueError(f"vector is unbalanced at node {list(bit_positions(sm))}")
-        pos = []
-        neg = []
+        groups = forcing_groups(face, g, sm)
+        if any(key & (key - 1) for key in groups):
+            raise ValueError(f"node {list(bit_positions(sm))} is not tight for the face")
         for eid in boundary:
-            c = z[eid - 1]
-            pos.extend([eid] * max(c, 0))
-            neg.extend([eid] * max(-c, 0))
-        interior = g.interior_mask(sm)
-        forced: dict[int, int] = {}
-
-        def forced_interior(eid: int) -> int:
-            if eid not in forced:
-                bit = 1 << (eid - 1)
-                inner = None
-                for mm in face.matching_masks:
-                    if mm & bit:
-                        part = mm & interior
-                        if inner is None:
-                            inner = part
-                        elif part != inner:
-                            raise ValueError(
-                                f"interior of {list(bit_positions(sm))} not forced by edge {eid}: "
-                                "contractibility precondition violated"
-                            )
-                if inner is None:
-                    raise EngineError("boundary edge vanished from the face support")
-                forced[eid] = inner
-            return forced[eid]
-
-        for e_plus, e_minus in zip(pos, neg):
-            for eid in bit_positions(forced_interior(e_plus)):
-                y[eid - 1] += 1
-            for eid in bit_positions(forced_interior(e_minus)):
-                y[eid - 1] -= 1
-    z_norm = sum(abs(c) for c in z)
-    if sum(abs(c) for c in y) > g.n * z_norm:
+            inners = groups.get(1 << (eid - 1))
+            if inners is None:
+                raise EngineError("boundary edge vanished from the face support")
+            if len(inners) > 1:
+                raise ValueError(
+                    f"interior of {list(bit_positions(sm))} not forced by edge {eid}: "
+                    "contractibility precondition violated"
+                )
+            for j in bit_positions(inners[0]):
+                y[j - 1] += z[eid - 1]
+    if sum(map(abs, y)) > g.n * sum(map(abs, z)):
         raise EngineError("lifted vector exceeds n times the circuit's 1-norm")
     return tuple(y)
 
@@ -675,10 +683,12 @@ def goodness_check(face: Face, fam: LaminarFamily, threshold: int, g: Graph) -> 
     bad = _maximality_witness(tight_masks(face, g), fam)
     if bad is not None:
         return GoodnessReport(False, "maximality", frozenset(bit_positions(bad)))
+    # Maximality has just proved every member tight, as contractible_mask
+    # and tight_contraction need.
     for s in fam.masks:
         if s.bit_count() <= threshold and not contractible_mask(face, s, g):
             return GoodnessReport(False, "contractibility", frozenset(bit_positions(s)))
-    h = contract_face(face, fam, threshold, g)
+    h = tight_contraction(face, fam, threshold, g)
     vectors = bounded_circuit_vectors(h, threshold)
     if vectors:
         return GoodnessReport(False, "circuit", vectors[0])

@@ -49,17 +49,22 @@ def family_base(n: int) -> int:
     return 4 * n * n + 1
 
 
-def family_member(k: int, n: int, m: int) -> WeightFunction:
-    """Member k of the oblivious family on m edges: (4n^2+1)^j mod k."""
-    if k < 2:
-        raise ValueError(f"family index must be >= 2, got {k}")
+def _member_values(k: int, n: int, m: int) -> list[int]:
+    """The values (4n^2+1)^j mod k of member k, for j = 1..m."""
     base = family_base(n) % k
     values = []
     acc = 1
     for _ in range(m):
         acc = acc * base % k
         values.append(acc)
-    return WeightFunction(n, tuple(values), provenance=f"family:{k}")
+    return values
+
+
+def family_member(k: int, n: int, m: int) -> WeightFunction:
+    """Member k of the oblivious family on m edges: (4n^2+1)^j mod k."""
+    if k < 2:
+        raise ValueError(f"family index must be >= 2, got {k}")
+    return WeightFunction(n, tuple(_member_values(k, n, m)), provenance=f"family:{k}")
 
 
 def graph_family_member(g: Graph, k: int, n: int | None = None) -> WeightFunction:
@@ -141,17 +146,10 @@ def separating_weights(
         if sum(abs(c) for _, c in nz) > 4 * n * n:
             raise ValueError("vector 1-norm exceeds 4n^2")
         sparse.append(nz)
-    base_full = family_base(n)
     for k in range(2, t_max + 1):
-        base = base_full % k
-        values = [0] * m
-        acc = 1
-        for j in range(m):
-            acc = acc * base % k
-            values[j] = acc
+        values = _member_values(k, n, m)
         if all(sum(c * values[i] for i, c in nz) != 0 for nz in sparse):
-            member = WeightFunction(n, tuple(values), provenance=f"family:{k}")
-            return k, member
+            return k, WeightFunction(n, tuple(values), provenance=f"family:{k}")
     return None
 
 

@@ -129,13 +129,58 @@ def test_search_contract_holds_under_optimized_python(tmp_path):
 
 
 def test_no_assert_statements_in_src():
+    """python -O strips assert statements, and the CLI maps AssertionError
+    to no exit code: src/ neither asserts nor raises AssertionError."""
     import ast
+
+    def asserts(node) -> bool:
+        if isinstance(node, ast.Assert):
+            return True
+        exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
     package = Path(__file__).resolve().parent.parent / "src" / "matchiso"
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
-        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-        assert not lines, f"{path.name}: assert at lines {lines}"
+        lines = [node.lineno for node in ast.walk(tree) if asserts(node)]
+        assert not lines, f"{path.name}: assert or raise AssertionError at lines {lines}"
+
+
+def test_one_process_matches_fresh_processes(capsys, monkeypatch, c4_file):
+    """Calls of main in one process give the exit codes and reports (less
+    ms) of fresh processes, from a single parser build."""
+    import re
+
+    from matchiso.cli import _build_parser
+
+    def without_ms(out: str) -> str:
+        return re.sub(r'"ms":\d+', '"ms":0', out)
+
+    sequence = [
+        ["search", "--graph", c4_file, "--bogus"],
+        ["--help"],
+        ["search", "--graph", c4_file, "--random-weights"],
+        ["search", "--graph", c4_file, "--weights", "1,1,1,2"],
+        ["isolate", "--graph", c4_file, "--derandomized"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("LINES", "24")
+    _build_parser.cache_clear()
+    in_process = []
+    for argv in sequence:
+        code = main(argv)
+        in_process.append((code, without_ms(capsys.readouterr().out)))
+    assert _build_parser.cache_info().misses == 1
+    assert [code for code, _ in in_process] == [2, 0, 2, 0, 0]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, got in zip(sequence, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "matchiso.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert got == (proc.returncode, without_ms(proc.stdout)), argv
 
 
 def test_isolate_derandomized_c4(capsys, c4_file):

@@ -1,0 +1,126 @@
+"""The forcing primitive against the scans it replaced.
+
+faces.forcing_groups groups a face's matchings by their boundary edges
+once; contractibility, lifting and the chain-layer obligations read it.
+reference_forcing.py keeps the old per-edge scans.  Both must agree on
+seeded random faces with 8 to 12 vertices and on a min-weight subface of
+each.
+"""
+
+import random
+
+import pytest
+
+from matchiso.engine import (
+    _layer_difference_vectors,
+    advance,
+    initial_state,
+    make_chains_contractible,
+)
+from matchiso.faces import (
+    ChainLayer,
+    bounded_circuit_vectors,
+    contract_face,
+    contractible_mask,
+    extend_masks,
+    is_contractible,
+    lift_contracted_vector,
+    min_weight_subface,
+    perfect_matching_face,
+    singletons,
+    tight_masks,
+)
+from matchiso.graphs import bit_positions
+from matchiso.weights import WeightFunction
+
+import reference_forcing as ref
+from conftest import random_graph_with_pm
+
+CASES = [(n, seed) for n in (8, 10, 12) for seed in range(3)]
+
+
+def faces_of(n: int, seed: int):
+    """A seeded graph, its whole face, and the subface minimizing 0/1
+    weights, which usually keeps several matchings."""
+    rng = random.Random(f"forcing:{n}:{seed}")
+    g = random_graph_with_pm(n, rng.uniform(0.3, 0.5), rng)
+    face = perfect_matching_face(g)
+    w = WeightFunction(n, tuple(int(rng.random() < 0.3) for _ in range(g.m)))
+    return g, (face, min_weight_subface(face, w))
+
+
+def nested_pairs(fam):
+    return [(lo, hi) for hi in fam.masks for lo in fam.masks if lo & hi == lo != hi]
+
+
+def as_set(mask):
+    return frozenset(bit_positions(mask))
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_contractibility_matches_scan(n, seed):
+    g, faces = faces_of(n, seed)
+    for face in faces:
+        tight = tight_masks(face, g)
+        for s in tight:
+            assert contractible_mask(face, s, g) == ref.contractible(face, g, s)
+        fam = extend_masks(singletons(n), tight)
+        for lo, hi in nested_pairs(fam):
+            layer = ChainLayer((as_set(lo), as_set(hi)), 2, 2)
+            assert is_contractible(face, layer, g) == ref.contractible(face, g, hi, lo)
+
+
+@pytest.mark.parametrize("n,seed", CASES)
+def test_layer_obligations_match_scan(n, seed):
+    g, faces = faces_of(n, seed)
+    for face in faces:
+        fam = extend_masks(singletons(n), tight_masks(face, g))
+        for hi in fam.masks:
+            assert _layer_difference_vectors(face, (hi,), 1, 1, g) == ref.layer_difference_vectors(
+                face, (hi,), 1, 1, g
+            )
+        for lo, hi in nested_pairs(fam):
+            assert _layer_difference_vectors(face, (lo, hi), 2, 2, g) == ref.layer_difference_vectors(
+                face, (lo, hi), 2, 2, g
+            )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def compare_lifts(face, fam, threshold, bound, g) -> tuple[int, int]:
+    """Lift the first circuit vectors of the contraction both ways; count
+    the lifts that inserted interiors and the refusals."""
+    h = contract_face(face, fam, threshold, g)
+    lifted = refused = 0
+    for z in bounded_circuit_vectors(h, bound)[:40]:
+        got = outcome(lift_contracted_vector, z, face, h, g)
+        assert got == outcome(ref.lift, z, face, h, g)
+        lifted += isinstance(got, tuple) and got != z
+        refused += got is ValueError
+    return lifted, refused
+
+
+def test_lifted_vectors_match_scan():
+    """On the seeded faces, contracted at every member size, where some
+    nodes are not contractible, and on the faces of the derandomization
+    walk, where the small members are."""
+    counts = []
+    for n, seed in CASES:
+        g, faces = faces_of(n, seed)
+        for face in faces:
+            fam = extend_masks(singletons(n), tight_masks(face, g))
+            for threshold in sorted({s.bit_count() for s in fam.masks}):
+                counts.append(compare_lifts(face, fam, threshold, min(2 * threshold, 8), g))
+        state = initial_state(g)
+        while state.threshold < n:
+            th = state.threshold
+            _, f_mid = make_chains_contractible(state.face, state.laminar, th, g)
+            counts.append(compare_lifts(f_mid, state.laminar, 2 * th, 2 * th, g))
+            state = advance(state, g)
+    lifted, refused = map(sum, zip(*counts))
+    assert lifted > 0 and refused > 0

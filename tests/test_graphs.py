@@ -61,6 +61,24 @@ def test_parse_errors_are_distinct(text, kind):
     assert err.value.kind == kind
 
 
+# Near-valid documents: short lines of small, negative, huge or malformed
+# numbers, comments and blanks, so the fuzz reaches every check.
+_TOKENS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["#", "# note", "x", "1.5", "0x3", "+4", "1_0", "\u0663", "9" * 30]),
+)
+_DOCUMENTS = st.lists(st.lists(_TOKENS, max_size=3).map(" ".join), max_size=12).map("\n".join)
+
+
+@given(st.one_of(st.text(max_size=200), _DOCUMENTS))
+def test_parse_graph_raises_only_parse_error(text):
+    try:
+        g = parse_graph(text)
+    except ParseError:
+        return
+    assert g.n >= 1 and all(1 <= u < v <= g.n for u, v in g.edges)
+
+
 @given(st.integers(2, 8), st.data())
 def test_edge_indexing_is_permutation_invariant(n, data):
     import itertools
