@@ -59,6 +59,12 @@ EXIT_PARSE = 2
 EXIT_SIZE_GUARD = 3
 EXIT_DOMAIN = 4
 
+# Size guards (exit 3) on verbs whose work grows with a bare number argument.
+WEIGHTS_MAX_VALUES = 100_000  # weight values computed: edges times family indices
+WEIGHTS_MAX_BITS = 4_096  # bound on the padding n**e and on each concatenated weight
+# bench's exact determinant took about 5 s at n = 40 and 26 s at 48 (CPython 3.11, 2-CPU Linux host)
+BENCH_MAX_N = 40
+
 
 class _Domain(Exception):
     """Domain-level refusal (no perfect matching, bad parameter)."""
@@ -162,8 +168,23 @@ def _cmd_isolate(args) -> dict:
 
 def _cmd_weights(args) -> dict:
     m = args.edges if args.edges is not None else args.n * (args.n - 1) // 2
+    if m < 0:
+        raise _Domain(f"edge count must be nonnegative, got {m}")
+    ks = list(_int_list(args.concat, "--concat")) if args.concat else [args.k]
+    if m * len(ks) > WEIGHTS_MAX_VALUES:
+        raise SizeGuardExceeded(
+            f"{m} edges times {len(ks)} family indices exceeds {WEIGHTS_MAX_VALUES} weight values"
+        )
     if args.concat:
-        ks = list(_int_list(args.concat, "--concat"))
+        if args.padding_exponent < 0:
+            raise _Domain(f"padding exponent must be nonnegative, got {args.padding_exponent}")
+        # n**e has at most e * bitlen(n) bits, and each concatenation adds a padding's worth
+        bits = max(len(ks) - 1, 1) * args.padding_exponent * args.n.bit_length()
+        if bits > WEIGHTS_MAX_BITS:
+            raise SizeGuardExceeded(
+                f"padding {args.n}**{args.padding_exponent} with {len(ks)} family indices "
+                f"may reach {bits} bits, which exceeds {WEIGHTS_MAX_BITS}"
+            )
         padding = args.n**args.padding_exponent
         w = family_member(ks[0], args.n, m)
         for k in ks[1:]:
@@ -208,8 +229,10 @@ def _cmd_goodness(args) -> dict:
 def _cmd_bench(args) -> dict:
     import random as _random
 
-    rng = _random.Random(args.seed)
     n = args.n
+    if n > BENCH_MAX_N:
+        raise SizeGuardExceeded(f"bench --n {n} exceeds {BENCH_MAX_N}")
+    rng = _random.Random(args.seed)
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.5]
     from .graphs import graph_from_edges
 

@@ -1,11 +1,14 @@
 """Exhaustive enumeration of small graphs up to isomorphism.
 
 Graphs are built level by level: every graph on k vertices arises from a
-graph on k-1 vertices by attaching a new vertex with some neighborhood, and
-duplicates are removed via a canonical form.  The canonical form refines
-vertex colors by degree and neighbor-color multisets until stable, then
-minimizes the adjacency bitstring over the orderings consistent with the
-stable coloring.  That is exhaustive within color classes, hence exact.
+graph on k-1 vertices by attaching a new vertex with some neighborhood.
+Each candidate is bucketed by a cheap isomorphism invariant, the sorted
+multiset of per-vertex signatures (degree, sorted neighbour degrees), and
+kept only when a backtracking search finds no isomorphism onto any graph
+already kept in its bucket.  The search maps each vertex only onto vertices
+of the same signature and checks adjacency to the vertices mapped so far,
+so it is exact.  Candidates are met in a fixed order and each class keeps
+its first, so the output does not depend on how duplicates are found.
 
 Used by the acceptance suite as the exhaustive corpus; counts are checked
 against the known sequences (all graphs: 1, 2, 4, 11, 34, 156, 1044, 12346;
@@ -14,61 +17,49 @@ connected: 1, 1, 2, 6, 21, 112, 853, 11117).
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .graphs import Graph
 
 
-def _refine_colors(adj: tuple[int, ...], k: int) -> tuple[int, ...]:
-    colors = [adj[v].bit_count() for v in range(k)]
-    while True:
-        signatures = []
-        for v in range(k):
-            neigh = adj[v]
-            local = []
-            while neigh:
-                low = neigh & -neigh
-                local.append(colors[low.bit_length() - 1])
-                neigh ^= low
-            signatures.append((colors[v], tuple(sorted(local))))
-        order = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new = [order[sig] for sig in signatures]
-        if new == colors:
-            return tuple(colors)
-        colors = new
+def _signatures(adj: tuple[int, ...], k: int) -> list[int]:
+    """Per vertex: its degree and the multiset of its neighbours' degrees,
+    packed into one int (a neighbour of degree d adds 1 << (d + 1) * k;
+    fewer than k neighbours share a degree, so no field overflows)."""
+    deg = [a.bit_count() for a in adj]
+    weight = [1 << (d + 1) * k for d in deg]
+    sigs = []
+    for v in range(k):
+        sig, rest = deg[v], adj[v]
+        while rest:
+            low = rest & -rest
+            sig += weight[low.bit_length() - 1]
+            rest ^= low
+        sigs.append(sig)
+    return sigs
 
 
-def canonical_key(adj: tuple[int, ...], k: int) -> tuple[int, int]:
-    """Minimal upper-triangle adjacency bitstring over colored orderings."""
-    colors = _refine_colors(adj, k)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    groups = [classes[c] for c in sorted(classes)]
-    best = None
-    for perm_parts in _group_orderings(groups):
-        order = [v for part in perm_parts for v in part]
-        code = 0
-        bit = 0
-        for i in range(k):
-            ai = adj[order[i]]
-            for j in range(i + 1, k):
-                if ai >> order[j] & 1:
-                    code |= 1 << bit
-                bit += 1
-        if best is None or code < best:
-            best = code
-    return (k, best if best is not None else 0)
+def _isomorphic(a: tuple[int, ...], sa: list[int], b: tuple[int, ...], sb: list[int], k: int) -> bool:
+    """Is some bijection v -> image[v] with sa[v] == sb[image[v]] an
+    isomorphism from a onto b?  Vertices of a are mapped in index order."""
+    image = [0] * k
 
+    def extend(v: int, used: int) -> bool:
+        if v == k:
+            return True
+        # the images of v's already-mapped neighbours, which w must match
+        want = 0
+        rest = a[v] & ((1 << v) - 1)
+        while rest:
+            low = rest & -rest
+            want |= 1 << image[low.bit_length() - 1]
+            rest ^= low
+        for w in range(k):
+            if not used >> w & 1 and sb[w] == sa[v] and b[w] & used == want:
+                image[v] = w
+                if extend(v + 1, used | 1 << w):
+                    return True
+        return False
 
-def _group_orderings(groups: list[list[int]]):
-    if not groups:
-        yield []
-        return
-    head, *rest = groups
-    for perm in permutations(head):
-        for tail in _group_orderings(rest):
-            yield [list(perm)] + tail
+    return extend(0, 0)
 
 
 def _is_connected(adj: tuple[int, ...], k: int) -> bool:
@@ -90,9 +81,9 @@ def _is_connected(adj: tuple[int, ...], k: int) -> bool:
 def graphs_up_to_iso(max_n: int) -> dict[int, list[tuple[int, ...]]]:
     """All graphs on 1..max_n vertices up to isomorphism, as adjacency
     bitmask tuples."""
-    levels: dict[int, list[tuple[int, ...]]] = {1: [(0,)]}
+    levels: dict[int, list[tuple[int, ...]]] = {1: [(0,)]} if max_n >= 1 else {}
     for k in range(2, max_n + 1):
-        seen: dict[tuple[int, int], tuple[int, ...]] = {}
+        buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], list[int]]]] = {}
         for base in levels[k - 1]:
             for nb in range(1 << (k - 1)):
                 adj = list(base) + [nb]
@@ -102,10 +93,11 @@ def graphs_up_to_iso(max_n: int) -> dict[int, list[tuple[int, ...]]]:
                     adj[low.bit_length() - 1] |= 1 << (k - 1)
                     rest ^= low
                 tup = tuple(adj)
-                key = canonical_key(tup, k)
-                if key not in seen:
-                    seen[key] = tup
-        levels[k] = sorted(seen.values())
+                sigs = _signatures(tup, k)
+                kept = buckets.setdefault(tuple(sorted(sigs)), [])
+                if not any(_isomorphic(tup, sigs, rep, rsigs, k) for rep, rsigs in kept):
+                    kept.append((tup, sigs))
+        levels[k] = sorted(rep for kept in buckets.values() for rep, _ in kept)
     return levels
 
 

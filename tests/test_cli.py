@@ -375,3 +375,59 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run(capsys, "face", "--graph", "-")
     assert code == 0
     assert payload(out)["result"]["support"] == [1, 2, 3, 4]
+
+
+@pytest.fixture
+def no_big_work(monkeypatch):
+    """Make the work behind the guarded verbs fail loudly, so a guard that
+    does not fire first shows up as an error rather than a long run."""
+    import random
+
+    import matchiso.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the size guard let the work start")
+
+    monkeypatch.setattr(cli, "family_member", refuse)
+    monkeypatch.setattr(random, "Random", refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--n", "4", "--k", "3", "--edges", "100001"],
+    ["weights", "--n", "4", "--k", "3", "--edges", str(10**12)],
+    ["weights", "--n", "448", "--k", "3"],  # C(448, 2) = 100,128 edges
+    ["weights", "--n", str(10**9), "--k", "3"],
+    ["weights", "--n", "4", "--edges", "50001", "--concat", "2,3"],
+    ["weights", "--n", "2", "--edges", "1", "--concat", "2,3", "--padding-exponent", "2049"],
+    ["weights", "--n", "2", "--edges", "1", "--concat", "2", "--padding-exponent", str(10**7)],
+    ["weights", "--n", "4", "--edges", "1", "--concat", "2,3,5", "--padding-exponent", "683"],
+    ["bench", "--n", "41", "--seed", "1"],
+    ["bench", "--n", str(10**9), "--seed", "1"],
+])
+def test_size_guards_fire_before_the_work(capsys, no_big_work, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "exceeds" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--n", "4", "--k", "3", "--edges", "100000"],
+    ["weights", "--n", "447", "--k", "3"],  # C(447, 2) = 99,681 edges
+    ["weights", "--n", "2", "--edges", "1", "--concat", "2,3", "--padding-exponent", "2048"],
+    ["weights", "--n", "4", "--edges", "1", "--concat", "2,3,5", "--padding-exponent", "682"],
+])
+def test_size_guards_admit_their_limits(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert all(v.isdigit() for v in payload(out)["result"]["values"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--n", "4", "--k", "3", "--edges", "-5"],
+    ["weights", "--n", "4", "--edges", "-5", "--concat", "2,3"],
+    ["weights", "--n", "4", "--edges", "1", "--concat", "2,3", "--padding-exponent", "-1"],
+])
+def test_negative_sizes_are_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert "nonnegative" in err

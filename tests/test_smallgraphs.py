@@ -1,0 +1,139 @@
+"""The corpus generator against its former canonical-form dedupe, and its
+isomorphism test on graphs that the bucket invariant cannot tell apart."""
+
+import itertools
+import random
+
+import pytest
+
+from matchiso import graph_from_edges
+from matchiso.smallgraphs import _isomorphic, _signatures, connected_graphs, graphs_up_to_iso
+
+import reference_smallgraphs as reference
+from conftest import complete_graph, cycle_graph
+
+ALL_GRAPH_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
+
+
+def adjacency(g) -> tuple[int, ...]:
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    return tuple(adj)
+
+
+def relabel(adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
+    """The graph with vertex v renamed perm[v]."""
+    out = [0] * len(adj)
+    for v, row in enumerate(adj):
+        for u in range(len(adj)):
+            if row >> u & 1:
+                out[perm[v]] |= 1 << perm[u]
+    return tuple(out)
+
+
+def bucket_key(adj: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(_signatures(adj, len(adj))))
+
+
+def isomorphic(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    k = len(a)
+    return _isomorphic(a, _signatures(a, k), b, _signatures(b, k), k)
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return graph_from_edges(offset, edges)
+
+
+@pytest.fixture(scope="module")
+def oracle7():
+    return reference.graphs_up_to_iso(7)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_matches_canonical_form_dedupe(oracle7, k):
+    assert graphs_up_to_iso(k) == {j: oracle7[j] for j in range(1, k + 1)}
+
+
+def test_all_graph_counts():
+    levels = graphs_up_to_iso(7)
+    assert [len(levels[k]) for k in range(1, 8)] == ALL_GRAPH_COUNTS
+
+
+@pytest.mark.parametrize("max_n", [0, -3])
+def test_no_vertices_no_graphs(max_n):
+    assert graphs_up_to_iso(max_n) == {}
+    assert connected_graphs(max_n) == []
+
+
+def test_c6_and_two_triangles_stay_apart():
+    c6, two_k3 = adjacency(cycle_graph(6)), adjacency(disjoint_union(cycle_graph(3), cycle_graph(3)))
+    assert bucket_key(c6) == bucket_key(two_k3)
+    assert not isomorphic(c6, two_k3) and not isomorphic(two_k3, c6)
+    assert reference.canonical_key(c6, 6) != reference.canonical_key(two_k3, 6)
+
+
+def test_k33_and_prism_stay_apart(prism):
+    k33 = adjacency(graph_from_edges(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]))
+    prism = adjacency(prism)
+    assert bucket_key(k33) == bucket_key(prism)
+    assert not isomorphic(k33, prism) and not isomorphic(prism, k33)
+    assert reference.canonical_key(k33, 6) != reference.canonical_key(prism, 6)
+
+
+def test_cubic_graphs_on_eight_vertices_stay_apart(cube):
+    """Every connected cubic graph on 8 vertices is an 8-cycle plus a perfect
+    matching of chords; with 2·K4 they make six classes in one bucket."""
+    ring = cycle_graph(8).edges
+    chords = [uv for uv in itertools.combinations(range(1, 9), 2) if uv not in ring]
+    candidates = [adjacency(cube), adjacency(disjoint_union(complete_graph(4), complete_graph(4)))]
+    for four in itertools.combinations(chords, 4):
+        if len({v for uv in four for v in uv}) == 8:
+            candidates.append(adjacency(graph_from_edges(8, ring + four)))
+    assert len({bucket_key(adj) for adj in candidates}) == 1
+    classes: list[tuple[int, ...]] = []
+    for adj in candidates:
+        if not any(isomorphic(adj, rep) for rep in classes):
+            classes.append(adj)
+    assert len(classes) == 6  # the five connected cubic graphs, and 2·K4
+    assert classes[0] == adjacency(cube)
+    assert len({reference.canonical_key(adj, 8) for adj in classes}) == 6
+    for a, b in itertools.permutations(classes, 2):
+        assert not isomorphic(a, b)
+
+
+def test_random_relabellings_are_isomorphic():
+    rng = random.Random(8)
+    for _ in range(200):
+        adj = [0] * 8
+        for u, v in itertools.combinations(range(8), 2):
+            if rng.random() < rng.choice((0.2, 0.5, 0.8)):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        perm = list(range(8))
+        rng.shuffle(perm)
+        a, b = tuple(adj), relabel(tuple(adj), perm)
+        assert bucket_key(a) == bucket_key(b)
+        assert isomorphic(a, b) and isomorphic(b, a)
+
+
+def test_bucket_key_is_finer_than_degrees():
+    """A path on five vertices and a triangle beside an edge have the same
+    degree sequence but different neighbour degrees."""
+    p5 = adjacency(graph_from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
+    k3_k2 = adjacency(graph_from_edges(5, [(1, 2), (2, 3), (1, 3), (4, 5)]))
+    assert sorted(a.bit_count() for a in p5) == sorted(a.bit_count() for a in k3_k2)
+    assert bucket_key(p5) != bucket_key(k3_k2)
+
+
+def test_isomorphism_respects_the_given_colours():
+    """The search maps a vertex only onto one of the same colour, even when
+    an isomorphism that ignores the colours exists."""
+    p3 = adjacency(graph_from_edges(3, [(1, 2), (2, 3)]))
+    assert _isomorphic(p3, [0, 1, 0], p3, [0, 1, 0], 3)
+    assert not _isomorphic(p3, [0, 1, 0], p3, [1, 0, 0], 3)
