@@ -19,15 +19,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from matchiso import (  # noqa: E402
     enumerate_perfect_matchings,
+    family_member,
     graph_from_edges,
-    graph_family_member,
     is_isolating,
 )
 
 
 def smallest_isolating_member(g, k_cap=100000):
     for k in range(2, k_cap + 1):
-        if is_isolating(g, graph_family_member(g, k)):
+        if is_isolating(g, family_member(k, g.n, g.m)):
             return k
     return None
 

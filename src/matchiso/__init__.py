@@ -9,7 +9,6 @@ from .graphs import (
     Graph,
     ParseError,
     SizeGuardExceeded,
-    cut_and_interior,
     enumerate_perfect_matchings,
     graph_from_edges,
     is_perfect_matching,
@@ -18,12 +17,10 @@ from .graphs import (
     parse_graph,
 )
 from .weights import (
-    FamilySpec,
     WeightFunction,
     concatenate,
     default_padding,
     family_member,
-    graph_family_member,
     is_isolating,
     random_weights,
     separating_weights,
@@ -38,7 +35,6 @@ from .tutte import (
     determinant_search,
 )
 from .faces import (
-    AlternatingCircuit,
     ChainLayer,
     ContractionMultigraph,
     Face,

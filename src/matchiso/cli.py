@@ -1,6 +1,6 @@
 """Command-line surface with stable machine-readable JSON reports.
 
-Verbs: decide, search, isolate, weights, face, goodness, bench.
+Verbs: decide, search, isolate, weights, face, goodness.
 Reports go to stdout as one JSON object with fixed field order
 (verb, result, ms, seed); errors go to stderr.  Exit codes: 2 parse error,
 3 size guard, 4 domain error, 1 internal invariant failure.  Big integers
@@ -39,9 +39,7 @@ from .faces import (
 )
 from .tutte import (
     STATUS_NO_PM,
-    build_tutte_matrix,
     decide_random,
-    determinant,
     determinant_search,
 )
 from .engine import (
@@ -59,11 +57,13 @@ EXIT_PARSE = 2
 EXIT_SIZE_GUARD = 3
 EXIT_DOMAIN = 4
 
-# Size guards (exit 3) on verbs whose work grows with a bare number argument.
+# Size guards (exit 3) on work that grows with a bare number in the input.
+# search, decide and isolate build n x n matrices; search took 22 s at n = 40 (CPython 3.11, 2-CPU Linux host)
+GRAPH_MAX_N = 40
+# decide runs every trial on a graph with no perfect matching: 1,000 took 1.1 s at n = 40
+DECIDE_MAX_TRIALS = 1_000
 WEIGHTS_MAX_VALUES = 100_000  # weight values computed: edges times family indices
 WEIGHTS_MAX_BITS = 4_096  # bound on the padding n**e and on each concatenated weight
-# bench's exact determinant took about 5 s at n = 40 and 26 s at 48 (CPython 3.11, 2-CPU Linux host)
-BENCH_MAX_N = 40
 
 
 class _Domain(Exception):
@@ -71,10 +71,18 @@ class _Domain(Exception):
 
 
 def _load_graph(path: str) -> Graph:
-    if path == "-":
-        return parse_graph(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError("unreadable", f"cannot read {path}: {exc}") from None
+    g = parse_graph(text)
+    if g.n > GRAPH_MAX_N:
+        raise SizeGuardExceeded(f"n={g.n} exceeds {GRAPH_MAX_N} vertices")
+    return g
 
 
 def _weights_payload(w: WeightFunction) -> dict:
@@ -122,6 +130,8 @@ def _parse_weight_list(raw: str, g: Graph) -> WeightFunction:
 
 
 def _cmd_decide(args) -> dict:
+    if args.trials > DECIDE_MAX_TRIALS:
+        raise SizeGuardExceeded(f"--trials {args.trials} exceeds {DECIDE_MAX_TRIALS}")
     g = _load_graph(args.graph)
     has = decide_random(g, args.prime, args.trials, args.seed)
     return {"hasPerfectMatching": has, "prime": args.prime, "trials": args.trials}
@@ -226,22 +236,6 @@ def _cmd_goodness(args) -> dict:
     return {"good": report.ok, "failed": report.failed, "witness": witness}
 
 
-def _cmd_bench(args) -> dict:
-    import random as _random
-
-    n = args.n
-    if n > BENCH_MAX_N:
-        raise SizeGuardExceeded(f"bench --n {n} exceeds {BENCH_MAX_N}")
-    rng = _random.Random(args.seed)
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.5]
-    from .graphs import graph_from_edges
-
-    g = graph_from_edges(n, pairs)
-    w = random_weights(g, args.seed)
-    det = determinant(build_tutte_matrix(g, w), "exact")
-    return {"n": n, "edges": g.m, "detBits": det.value.bit_length()}
-
-
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="matchiso")
@@ -285,10 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--lambda", type=int, required=True)
     p.add_argument("--weights", help="comma-separated family indices minimized in order")
-
-    p = sub.add_parser("bench", help="time a seeded determinant workload")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--seed", type=int, required=True)
     return parser
 
 
@@ -299,10 +289,9 @@ _DISPATCH = {
     "weights": _cmd_weights,
     "face": _cmd_face,
     "goodness": _cmd_goodness,
-    "bench": _cmd_bench,
 }
 
-_SEEDED = {"decide", "search", "isolate", "bench"}
+_SEEDED = {"decide", "search", "isolate"}
 
 
 def emit_report(verb: str, result: dict, ms: int, seed: int | None, pretty: bool) -> str:
@@ -321,7 +310,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     seed = getattr(args, "seed", None)
-    if args.verb in ("decide", "bench") and seed is None:
+    if args.verb == "decide" and seed is None:
         print("error: --seed is required", file=sys.stderr)
         return EXIT_PARSE
     if args.verb == "search" and args.random_weights and seed is None:
@@ -334,9 +323,6 @@ def main(argv=None) -> int:
     try:
         result = _DISPATCH[args.verb](args)
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SizeGuardExceeded as exc:

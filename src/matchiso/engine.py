@@ -94,23 +94,14 @@ def ceil_log2(n: int) -> int:
 
 
 def _find_member(vectors, n: int, m: int) -> tuple[int, WeightFunction]:
-    """Smallest separating family member, with the escalation schedule:
-    start at n^3 * s, double on exhaustion, hard cap n^20 (never reached)."""
+    """Smallest family member separating the obligation vectors, from one
+    scan up to the family lemma's bound n^3 per vector (at least 7)."""
     vecs = sorted(set(canonical_sign(v) for v in vectors))
-    if not vecs:
-        found = separating_weights([], n, 7, m=m)
-        if found is None:
-            raise EngineError("no family member for an empty obligation set")
-        return found
-    cap = n**20
-    t_max = min(cap, max(7, n**3 * len(vecs)))
-    while True:
-        found = separating_weights(vecs, n, t_max, m=m)
-        if found is not None:
-            return found
-        if t_max >= cap:
-            raise EngineError("no separating family member below the n^20 cap")
-        t_max = min(cap, 2 * t_max)
+    t_max = max(7, n**3 * len(vecs))
+    found = separating_weights(vecs, n, t_max, m=m)
+    if found is None:
+        raise EngineError(f"no separating family member up to {t_max}")
+    return found
 
 
 def remove_circuits(
@@ -146,7 +137,7 @@ def remove_circuits(
         k=k,
         weights=w,
         obligations=len(circuit_vecs),
-        changed_face=new_face.matchings != face.matchings,
+        changed_face=new_face is not face,
     )
     return record, new_face
 
@@ -239,7 +230,7 @@ def make_chains_contractible(
                         k=k,
                         weights=w,
                         obligations=len(obligations),
-                        changed_face=new_face.matchings != cur.matchings,
+                        changed_face=new_face is not cur,
                     )
                 )
                 cur = new_face

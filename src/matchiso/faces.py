@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import (
@@ -42,11 +42,9 @@ from .weights import WeightFunction
 
 @dataclass(frozen=True)
 class Face:
-    """Nonempty, deduplicated, deterministically ordered matching set, plus
-    the weight functions whose successive minimization produced it."""
+    """Nonempty, deduplicated, deterministically ordered matching set."""
 
     matchings: tuple[frozenset[int], ...]
-    defining_weights: tuple[WeightFunction, ...] = ()
 
     def __post_init__(self):
         if not self.matchings:
@@ -71,11 +69,24 @@ class Face:
 
     @cached_property
     def side_by_side(self) -> tuple[int, int, int]:
-        return _side_by_side(self.matching_masks)
+        """(field, repunit, packed): matching i sits in field i of packed,
+        all fields the same whole number of bytes; repunit has a 1 at the
+        bottom of every field, so (x & field) * repunit copies an edge mask
+        x into every field."""
+        masks = self.matching_masks
+        size = (max(masks).bit_length() + 7) // 8 or 1
+        packed = int.from_bytes(b"".join(mm.to_bytes(size, "little") for mm in masks), "little")
+        repunit = int.from_bytes((b"\x01" + bytes(size - 1)) * len(masks), "little")
+        return (1 << 8 * size) - 1, repunit, packed
 
     @cached_property
     def forcing_memo(self) -> dict[tuple[int, int], dict[int, tuple[int, ...]]]:
         """What forcing_groups has found on this face."""
+        return {}
+
+    @cached_property
+    def tight_memo(self) -> dict[Graph, tuple[int, ...]]:
+        """What tight_masks has found on this face, per graph."""
         return {}
 
 
@@ -88,27 +99,18 @@ def perfect_matching_face(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> F
 
 
 def min_weight_subface(face: Face, w: WeightFunction) -> Face:
-    """Subface of the matchings attaining minimum total weight under w."""
+    """Subface of the matchings attaining minimum total weight under w; the
+    face itself, with what is memoized on it, when they all do."""
     totals = [w.matching_weight(mm) for mm in face.matchings]
     best = min(totals)
-    kept = tuple(mm for mm, t in zip(face.matchings, totals) if t == best)
-    return Face(kept, face.defining_weights + (w,))
+    if totals.count(best) == len(totals):
+        return face
+    return Face(tuple(mm for mm, t in zip(face.matchings, totals) if t == best))
 
 
 def face_support(face: Face) -> frozenset[int]:
     """Edges appearing in at least one matching of the face."""
     return frozenset(bit_positions(face.support_mask))
-
-
-def _side_by_side(matching_masks: tuple[int, ...]) -> tuple[int, int, int]:
-    """(field, repunit, packed): matching i sits in field i of packed, all
-    fields the same whole number of bytes; repunit has a 1 at the bottom of
-    every field, so (x & field) * repunit copies an edge mask x into every
-    field."""
-    size = (max(matching_masks).bit_length() + 7) // 8 or 1
-    packed = int.from_bytes(b"".join(mm.to_bytes(size, "little") for mm in matching_masks), "little")
-    repunit = int.from_bytes((b"\x01" + bytes(size - 1)) * len(matching_masks), "little")
-    return (1 << 8 * size) - 1, repunit, packed
 
 
 def _set_sorted(masks: Iterable[int]) -> list[int]:
@@ -120,8 +122,7 @@ def _set_sorted(masks: Iterable[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=256)  # hits come from re-reads within one graph's pipeline
-def _tight_odd_masks(matching_masks: tuple[int, ...], g: Graph) -> tuple[int, ...]:
+def _tight_odd_masks(face: Face, g: Graph) -> tuple[int, ...]:
     """The tight odd sets as vertex masks, in (size, lexicographic) order.
 
     A set and its complement share a cut and n is even, so only the sets
@@ -130,9 +131,9 @@ def _tight_odd_masks(matching_masks: tuple[int, ...], g: Graph) -> tuple[int, ..
     Odd steps flip vertex 2 and leave the set even, so the walk takes two
     at a time.  Most sets already meet the first matching more than once;
     the others take the test of _is_tight."""
-    n, k = g.n, len(matching_masks)
-    field, repunit, packed = _side_by_side(matching_masks)
-    inc, first = g.incidence_masks, matching_masks[0]
+    n, k = g.n, len(face)
+    field, repunit, packed = face.side_by_side
+    inc, first = g.incidence_masks, face.matching_masks[0]
     full = (1 << n) - 1
     s, cut, out = 1, inc[0], []
     for i in range(0, 1 << (n - 1), 2):
@@ -146,10 +147,14 @@ def _tight_odd_masks(matching_masks: tuple[int, ...], g: Graph) -> tuple[int, ..
 
 
 def tight_masks(face: Face, g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> tuple[int, ...]:
-    """The tight odd sets of the face as vertex masks, behind the guard."""
+    """The tight odd sets of the face as vertex masks, behind the guard;
+    memoized on the face."""
     if g.n > max_vertices:
         raise SizeGuardExceeded(f"n={g.n} exceeds oracle guard {max_vertices}")
-    return _tight_odd_masks(face.matching_masks, g)
+    masks = face.tight_memo.get(g)
+    if masks is None:
+        masks = face.tight_memo[g] = _tight_odd_masks(face, g)
+    return masks
 
 
 def tight_odd_sets(face: Face, g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> tuple[frozenset[int], ...]:
@@ -496,56 +501,6 @@ def canonical_sign(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def alternating_indicator(edge_seq: Sequence[int], m: int) -> tuple[int, ...]:
-    """Signed indicator of a cyclic walk: +1 on even positions, -1 on odd.
-
-    Rejects odd-length and zero-vector walks (those are not circuits)."""
-    if len(edge_seq) == 0 or len(edge_seq) % 2 == 1:
-        raise ValueError("a circuit is a nonempty even-length closed walk")
-    vec = [0] * m
-    for i, eid in enumerate(edge_seq):
-        vec[eid - 1] += 1 if i % 2 == 0 else -1
-    if not any(vec):
-        raise ValueError("alternating indicator vector is zero")
-    return tuple(vec)
-
-
-@dataclass(frozen=True)
-class AlternatingCircuit:
-    """A closed even walk in a contraction with nonzero signed indicator."""
-
-    edge_ids: tuple[int, ...]
-    indicator: tuple[int, ...]
-    node_weight: int
-
-    @classmethod
-    def from_walk(cls, h: ContractionMultigraph, edge_ids: Sequence[int]) -> "AlternatingCircuit":
-        indicator = alternating_indicator(edge_ids, h.m)
-        ends = {}
-        for a, b, eid in h.edges:
-            ends[eid] = (a, b)
-        k = len(edge_ids)
-        weights = h.node_weights
-
-        def orientations(i: int, at: int, total: int):
-            if i == k:
-                if at == start:
-                    yield total
-                return
-            eid = edge_ids[i]
-            a, b = ends[eid]
-            if at == a:
-                yield from orientations(i + 1, b, total + weights[a])
-            if at == b and a != b:
-                yield from orientations(i + 1, a, total + weights[b])
-
-        a0, b0 = ends[edge_ids[0]]
-        for start in (a0, b0):
-            for total in orientations(0, start, 0):
-                return cls(tuple(edge_ids), indicator, total)
-        raise ValueError("edge sequence is not a closed walk in the contraction")
-
-
 def bounded_circuit_vectors(h: ContractionMultigraph, max_node_weight: int) -> tuple[tuple[int, ...], ...]:
     """All distinct canonical indicator vectors of alternating circuits with
     node-weight at most the bound, found by exhaustive bounded walk search.
@@ -601,7 +556,7 @@ def respects_face(
     ymask = edge_mask(j for j, c in enumerate(y, start=1) if c)
     if ymask & ~face.support_mask:
         return False
-    masks = _tight_odd_masks(face.matching_masks, g)
+    masks = tight_masks(face, g)
     if contraction is not None:
         # The nodes partition the vertices: a union of nodes is a set that
         # no node straddles.

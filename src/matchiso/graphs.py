@@ -22,8 +22,9 @@ DEFAULT_SIZE_GUARD = 16
 
 
 class ParseError(ValueError):
-    """Invalid edge-list input.  ``kind`` names the defect:
-    "malformed", "self-loop", "duplicate-edge" or "vertex-range"."""
+    """Invalid edge-list input.  ``kind`` names the defect: "malformed",
+    "self-loop", "duplicate-edge", "vertex-range", or "unreadable" for a
+    file that cannot be read as UTF-8 text."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)
@@ -199,18 +200,6 @@ def parse_graph(text: str) -> Graph:
             raise ParseError("malformed", f"edge line must be 'u v', got {line!r}") from None
         pairs.append((a, b))
     return graph_from_edges(n, pairs)
-
-
-def cut_and_interior(g: Graph, s: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return (sorted ids of delta(S), sorted ids of E(S))."""
-    sm = 0
-    for v in s:
-        if not (1 <= v <= g.n):
-            raise ValueError(f"vertex {v} out of range 1..{g.n}")
-        sm |= 1 << (v - 1)
-    dm = g.delta_mask(sm)
-    im = g.interior_mask(sm)
-    return bit_positions(dm), bit_positions(im)
 
 
 def is_perfect_matching(g: Graph, edge_ids: Iterable[int]) -> bool:

@@ -38,9 +38,6 @@ class WeightFunction:
     def m(self) -> int:
         return len(self.values)
 
-    def on(self, edge_id: int) -> int:
-        return self.values[edge_id - 1]
-
     def matching_weight(self, edge_ids: Iterable[int]) -> int:
         return sum(self.values[j - 1] for j in edge_ids)
 
@@ -65,31 +62,6 @@ def family_member(k: int, n: int, m: int) -> WeightFunction:
     if k < 2:
         raise ValueError(f"family index must be >= 2, got {k}")
     return WeightFunction(n, tuple(_member_values(k, n, m)), provenance=f"family:{k}")
-
-
-def graph_family_member(g: Graph, k: int, n: int | None = None) -> WeightFunction:
-    return family_member(k, g.n if n is None else n, g.m)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Index range of the oblivious family: members k = 2..t, t >= 7.
-
-    The t >= 7 floor is what makes the separating-member scan guaranteed to
-    succeed within the stated bound; smaller scans are still allowed as
-    experiments via the t_max argument of :func:`separating_weights`.
-    """
-
-    n: int
-    t: int
-
-    def __post_init__(self):
-        if self.t < 7:
-            raise ValueError(f"family bound must be >= 7, got {self.t}")
-
-    def members(self, m: int):
-        for k in range(2, self.t + 1):
-            yield family_member(k, self.n, m)
 
 
 def concatenate(w: WeightFunction, w2: WeightFunction, padding: int) -> WeightFunction:

@@ -262,18 +262,10 @@ def test_goodness_verb(capsys, c4_file):
 def test_emit_report_shape_contract():
     from matchiso.cli import emit_report
 
-    assert emit_report("bench", {}, 3, None, False) == '{"verb":"bench","result":{},"ms":3}'
+    assert emit_report("face", {}, 3, None, False) == '{"verb":"face","result":{},"ms":3}'
     roundtrip = json.loads(emit_report("x", {"w": "4398046511107"}, 1, 2, True))
     assert roundtrip["result"]["w"] == "4398046511107"
     assert roundtrip["seed"] == 2
-
-
-def test_bench_shape(capsys):
-    code, out, _ = run(capsys, "bench", "--n", "8", "--seed", "3")
-    assert code == 0
-    report = payload(out)
-    assert report["verb"] == "bench"
-    assert isinstance(report["ms"], int)
 
 
 def test_output_byte_identical_modulo_ms(capsys, c4_file):
@@ -300,6 +292,15 @@ def test_exit_codes_parse_errors(capsys, tmp_path):
 def test_exit_code_missing_file(capsys):
     code, _, _ = run(capsys, "face", "--graph", "no-such-file.txt")
     assert code == 2
+
+
+def test_exit_code_unreadable_file(capsys, tmp_path):
+    latin = tmp_path / "latin1.txt"
+    latin.write_bytes("# caf\xe9\n2 1\n1 2\n".encode("latin-1"))
+    for path in (tmp_path, latin):  # a directory, and text that is not UTF-8
+        code, out, err = run(capsys, "search", "--graph", str(path), "--weights", "1")
+        assert code == 2 and out == ""
+        assert "cannot read" in err
 
 
 def test_exit_code_size_guard(capsys, tmp_path):
@@ -380,7 +381,9 @@ def test_stdin_input(capsys, monkeypatch):
 @pytest.fixture
 def no_big_work(monkeypatch):
     """Make the work behind the guarded verbs fail loudly, so a guard that
-    does not fire first shows up as an error rather than a long run."""
+    does not fire first shows up as an error rather than a long run.  The
+    graph on stdin claims 10**8 vertices."""
+    import io
     import random
 
     import matchiso.cli as cli
@@ -388,8 +391,11 @@ def no_big_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("the size guard let the work start")
 
-    monkeypatch.setattr(cli, "family_member", refuse)
+    for name in ("family_member", "decide_random", "determinant_search", "random_weights",
+                 "isolate_randomized", "perfect_matching_face"):
+        monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(random, "Random", refuse)
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{10**8} 1\n1 2\n"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -401,8 +407,12 @@ def no_big_work(monkeypatch):
     ["weights", "--n", "2", "--edges", "1", "--concat", "2,3", "--padding-exponent", "2049"],
     ["weights", "--n", "2", "--edges", "1", "--concat", "2", "--padding-exponent", str(10**7)],
     ["weights", "--n", "4", "--edges", "1", "--concat", "2,3,5", "--padding-exponent", "683"],
-    ["bench", "--n", "41", "--seed", "1"],
-    ["bench", "--n", str(10**9), "--seed", "1"],
+    ["search", "--graph", "-", "--weights", "1"],
+    ["decide", "--graph", "-", "--prime", "1000003", "--seed", "1"],
+    ["decide", "--graph", "-", "--prime", "1000003", "--seed", "1", "--trials", str(10**9)],
+    ["isolate", "--graph", "-", "--randomized", "--seed", "1"],
+    ["search", "--graph", "-", "--random-weights", "--seed", "1"],
+    ["face", "--graph", "-"],
 ])
 def test_size_guards_fire_before_the_work(capsys, no_big_work, argv):
     code, out, err = run(capsys, *argv)
@@ -431,3 +441,40 @@ def test_negative_sizes_are_a_domain_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert "nonnegative" in err
+
+
+def test_graph_and_trials_guards_hold_at_their_limits(capsys, tmp_path, c4_file):
+    from matchiso.cli import DECIDE_MAX_TRIALS, GRAPH_MAX_N
+
+    decide = ["decide", "--prime", "1000003", "--seed", "1"]
+    code, out, _ = run(capsys, *decide, "--graph", c4_file, "--trials", str(DECIDE_MAX_TRIALS))
+    assert code == 0 and payload(out)["result"]["hasPerfectMatching"] is True
+    code, out, err = run(capsys, *decide, "--graph", c4_file, "--trials", str(DECIDE_MAX_TRIALS + 1))
+    assert code == 3 and out == "" and "--trials" in err
+    for n, expected in ((GRAPH_MAX_N, 0), (GRAPH_MAX_N + 1, 3)):
+        path = tmp_path / f"matching{n}.txt"
+        edges = [f"{v} {v + 1}" for v in range(1, n, 2)]
+        path.write_text("\n".join([f"{n} {len(edges)}", *edges]) + "\n")
+        code, out, err = run(capsys, *decide, "--graph", str(path))
+        assert code == expected
+        if expected:
+            assert out == "" and f"{GRAPH_MAX_N} vertices" in err
+
+
+def test_readme_names_the_cli_verbs():
+    """The README's usage block names exactly the CLI's verbs, and every
+    verb in its size-guard table exists."""
+    import re
+
+    from matchiso.cli import _DISPATCH
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    usage = {line.split()[1] for line in block.splitlines() if line.startswith("matchiso ")}
+    assert usage == set(_DISPATCH)
+    guards = readme.split("| verb | refused when |", 1)[1].split("\n\n", 1)[0]
+    rows = guards.strip().splitlines()[1:]
+    assert rows
+    for row in rows:
+        verbs = re.findall(r"`([a-z]+)", row.split("|")[1])
+        assert verbs and set(verbs) <= set(_DISPATCH), row

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchiso import (
-    AlternatingCircuit,
     ChainLayer,
     ContractionMultigraph,
     Face,
@@ -30,11 +29,10 @@ from matchiso import (
     uncross_pair,
 )
 from matchiso.faces import (
-    _tight_odd_masks,
-    alternating_indicator,
     canonical_sign,
     is_tight,
     singletons,
+    tight_masks,
 )
 from matchiso.graphs import bit_positions
 from matchiso.weights import random_weights
@@ -91,13 +89,43 @@ def test_min_weight_subface(c4, k4):
     face = perfect_matching_face(c4)
     sub = min_weight_subface(face, WeightFunction(4, (1, 1, 1, 2)))
     assert sub.matchings == (f({2, 3}),)
-    assert len(sub.defining_weights) == 1
     unchanged = min_weight_subface(face, WeightFunction(4, (0, 0, 0, 0)))
     assert unchanged.matchings == face.matchings
     # A strict order on the three matchings of K4 leaves a singleton:
     # weights 33, 18, 12 for {1,6}, {2,5}, {3,4}.
     sub_k4 = min_weight_subface(perfect_matching_face(k4), WeightFunction(4, (1, 2, 4, 8, 16, 32)))
     assert sub_k4.matchings == (f({3, 4}),)
+
+
+def test_noop_minimization_returns_the_same_face(k4):
+    face = perfect_matching_face(k4)
+    tight = tight_masks(face, k4)
+    # Every perfect matching of K4 has two edges, so unit weights tie them.
+    same = min_weight_subface(face, WeightFunction(4, (1,) * 6))
+    assert same is face
+    assert tight_masks(same, k4) is tight
+
+
+def test_cutting_minimization_returns_a_new_face(prism):
+    face = perfect_matching_face(prism)
+    tight = tight_masks(face, prism)
+    # Weight on edge 7 = (4, 5) cuts the one matching that uses it.
+    sub = min_weight_subface(face, WeightFunction(6, (0, 0, 0, 0, 0, 0, 1, 0, 0)))
+    assert sub is not face and len(sub) == len(face) - 1
+    # The subface walks its own tight sets, not the parent's.
+    assert set(tight) < set(tight_masks(sub, prism))
+    assert [f(bit_positions(s)) for s in tight_masks(sub, prism)] == tight_sets_oracle(sub, prism)
+
+
+def test_tight_sets_are_memoized_per_graph(c6):
+    # The same edge ids on the relabelled 6-cycle 1-2-5-6-4-3-1: one face,
+    # two graphs, two families of tight sets.
+    other = graph_from_edges(6, [(1, 2), (1, 3), (2, 5), (3, 4), (4, 6), (5, 6)])
+    face = perfect_matching_face(c6)
+    assert face.matchings == perfect_matching_face(other).matchings
+    assert tight_masks(face, c6) != tight_masks(face, other)
+    for g in (c6, other, c6):
+        assert [f(bit_positions(s)) for s in tight_masks(face, g)] == tight_sets_oracle(face, g)
 
 
 def test_face_support(c4):
@@ -170,7 +198,7 @@ def test_gray_code_tight_sets_match_oracle_on_larger_graphs(n):
         whole = perfect_matching_face(g)
         # A small family member ties many matchings, so the subface is rarely a point.
         for face in (whole, min_weight_subface(whole, family_member(rng.randint(2, 4), g.n, g.m))):
-            got = [f(bit_positions(s)) for s in _tight_odd_masks(face.matching_masks, g)]
+            got = [f(bit_positions(s)) for s in tight_masks(face, g)]
             assert got == tight_sets_oracle(face, g)
 
 
@@ -361,24 +389,18 @@ def test_contract_face_rejects_untight_member(prism):
         contract_face(face, fam, 3, prism)
 
 
-def test_alternating_indicator_and_repeated_edge_walk():
-    with pytest.raises(ValueError):
-        alternating_indicator((1, 2, 3), 4)
-    with pytest.raises(ValueError):
-        alternating_indicator((2, 2), 4)  # back-and-forth cancels
-    # Walk reusing one edge at positions 0 and 5: vertices 1..5 with edges
-    # (1,3)=1 (1,4)=2 (2,3)=3 (2,4)=4 (4,5)=5; walk 5,4,3,1,2,5 closes and
-    # its indicator is -e1 +e2 +e3 -e4 after the reused edge cancels.
+def test_bounded_circuit_vectors_repeated_edge_walk():
+    # Vertices 1..5 with edges (1,3)=1 (1,4)=2 (2,3)=3 (2,4)=4 (4,5)=5: the
+    # walk 5,4,3,1,2,5 of node-weight 6 reuses edge 5 at positions 0 and
+    # 5, which cancel, leaving -e1 +e2 +e3 -e4, the indicator of the
+    # 4-cycle.  A back-and-forth walk cancels to zero and is no circuit.
     h = ContractionMultigraph(
         5,
         (f({1}), f({2}), f({3}), f({4}), f({5})),
         ((0, 2, 1), (0, 3, 2), (1, 2, 3), (1, 3, 4), (3, 4, 5)),
     )
-    circuit = AlternatingCircuit.from_walk(h, (5, 4, 3, 1, 2, 5))
-    assert circuit.indicator == (-1, 1, 1, -1, 0)
-    assert circuit.node_weight == 6
-    with pytest.raises(ValueError):
-        AlternatingCircuit.from_walk(h, (5, 4, 4, 5, 3, 1))
+    assert bounded_circuit_vectors(h, 6) == (canonical_sign((-1, 1, 1, -1, 0)),)
+    assert bounded_circuit_vectors(h, 2) == ()
 
 
 def test_bounded_circuit_vectors_c4(c4):
@@ -519,9 +541,10 @@ def test_defining_weights_prefix_invariant(prism):
     # Every matching of a face weighs the same under each weight function
     # in the chain that produced it.
     face = perfect_matching_face(prism)
-    for seed in range(5):
-        face = min_weight_subface(face, random_weights(prism, seed))
-    for w in face.defining_weights:
+    defining = [random_weights(prism, seed) for seed in range(5)]
+    for w in defining:
+        face = min_weight_subface(face, w)
+    for w in defining:
         totals = {w.matching_weight(mm) for mm in face.matchings}
         assert len(totals) == 1
 

@@ -8,7 +8,6 @@ from matchiso import (
     Graph,
     ParseError,
     SizeGuardExceeded,
-    cut_and_interior,
     enumerate_perfect_matchings,
     graph_from_edges,
     is_perfect_matching,
@@ -17,7 +16,7 @@ from matchiso import (
     parse_graph,
 )
 
-from matchiso.graphs import crossing, vertex_mask
+from matchiso.graphs import bit_positions, crossing, vertex_mask
 
 from conftest import random_graph
 
@@ -92,15 +91,15 @@ def test_edge_indexing_is_permutation_invariant(n, data):
 
 def test_cut_and_interior_c4():
     g = parse_graph(C4_TEXT)
+
+    def cut_and_interior(s):
+        sm = vertex_mask(s)
+        return bit_positions(g.delta_mask(sm)), bit_positions(g.interior_mask(sm))
+
     # delta({1,2,3}) = {(1,4),(3,4)} = ids {2,4}; interior {(1,2),(2,3)} = {1,3}.
-    assert cut_and_interior(g, {1, 2, 3}) == ((2, 4), (1, 3))
-    assert cut_and_interior(g, set()) == ((), ())
-    assert cut_and_interior(g, {1, 2, 3, 4}) == ((), (1, 2, 3, 4))
-
-
-def test_cut_vertex_out_of_range(c4):
-    with pytest.raises(ValueError):
-        cut_and_interior(c4, {5})
+    assert cut_and_interior({1, 2, 3}) == ((2, 4), (1, 3))
+    assert cut_and_interior(set()) == ((), ())
+    assert cut_and_interior({1, 2, 3, 4}) == ((), (1, 2, 3, 4))
 
 
 @given(st.integers(2, 8), st.data())
@@ -111,9 +110,11 @@ def test_cut_size_identity(n, data):
     pairs = data.draw(st.lists(st.sampled_from(all_pairs), unique=True))
     g = graph_from_edges(n, pairs)
     s = data.draw(st.sets(st.integers(1, n)))
-    cut, interior = cut_and_interior(g, s)
+    sm = vertex_mask(s)
+    cut, interior = g.delta_mask(sm), g.interior_mask(sm)
+    assert not cut & interior
     degree_sum = sum(1 for u, v in g.edges for x in (u, v) if x in s)
-    assert len(cut) + 2 * len(interior) == degree_sum
+    assert cut.bit_count() + 2 * interior.bit_count() == degree_sum
 
 
 def test_enumerate_perfect_matchings_c4(c4):

@@ -6,12 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from matchiso import (
-    FamilySpec,
     WeightFunction,
     concatenate,
     default_padding,
     family_member,
-    graph_family_member,
     is_isolating,
     random_weights,
     separating_weights,
@@ -27,7 +25,7 @@ def test_family_member_frozen_values():
 
 
 def test_family_member_on_graph(c4):
-    assert graph_family_member(c4, 3).values == (2, 1, 2, 1)
+    assert family_member(3, c4.n, c4.m).values == (2, 1, 2, 1)
 
 
 def test_family_member_validation():
@@ -41,14 +39,6 @@ def test_family_matches_modular_exponentiation_oracle(n, k, m):
     base = 4 * n * n + 1
     assert w.values == tuple(pow(base, j, k) for j in range(1, m + 1))
     assert all(0 <= x < k for x in w.values)
-
-
-def test_family_spec_floor():
-    with pytest.raises(ValueError):
-        FamilySpec(4, 6)
-    members = list(FamilySpec(4, 7).members(3))
-    assert len(members) == 6  # k = 2..7
-    assert members[1].values == family_member(3, 4, 3).values
 
 
 def test_concat_frozen_value():
