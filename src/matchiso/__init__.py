@@ -43,7 +43,6 @@ from .faces import (
     bounded_circuit_vectors,
     contract_face,
     extend_to_maximal_laminar,
-    face_support,
     goodness_check,
     is_contractible,
     laminar_spans_tight_cuts,

@@ -20,6 +20,7 @@ from .graphs import (
     Graph,
     ParseError,
     SizeGuardExceeded,
+    bit_positions,
     parse_graph,
 )
 from .weights import (
@@ -30,7 +31,6 @@ from .weights import (
 )
 from .faces import (
     extend_to_maximal_laminar,
-    face_support,
     goodness_check,
     min_weight_subface,
     perfect_matching_face,
@@ -219,9 +219,9 @@ def _cmd_face(args) -> dict:
     fam = extend_to_maximal_laminar(singletons(g.n), tight)
     return {
         "matchings": [_matching_payload(mm) for mm in face.matchings],
-        "support": sorted(face_support(face)),
-        "tightSets": [sorted(s) for s in tight],
-        "laminar": [sorted(s) for s in fam.sets],
+        "support": list(bit_positions(face.support_mask)),
+        "tightSets": [list(bit_positions(s)) for s in tight],
+        "laminar": [list(bit_positions(s)) for s in fam.masks],
     }
 
 
@@ -231,8 +231,8 @@ def _cmd_goodness(args) -> dict:
     fam = extend_to_maximal_laminar(singletons(g.n), tight_odd_sets(face, g))
     report = goodness_check(face, fam, getattr(args, "lambda"), g)
     witness = report.witness
-    if isinstance(witness, frozenset):
-        witness = sorted(witness)
+    if isinstance(witness, int):  # a vertex mask; a circuit witness is a vector
+        witness = list(bit_positions(witness))
     return {"good": report.ok, "failed": report.failed, "witness": witness}
 
 

@@ -42,7 +42,7 @@ from .faces import (
     bounded_circuit_vectors,
     canonical_sign,
     contractible_mask,
-    extend_masks,
+    extend_to_maximal_laminar,
     forcing_groups,
     goodness_check,
     lift_contracted_vector,
@@ -51,7 +51,7 @@ from .faces import (
     respects_face,
     singletons,
     tight_contraction,
-    tight_masks,
+    tight_odd_sets,
 )
 from .tutte import STATUS_MATCHED, STATUS_NO_PM, SearchOutcome, determinant_search
 
@@ -245,7 +245,7 @@ def make_chains_contractible(
 def initial_state(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> FaceLaminarState:
     """The whole polytope with a maximal laminar family; always 1-good."""
     face = perfect_matching_face(g, max_vertices)
-    fam = extend_masks(singletons(g.n), tight_masks(face, g))
+    fam = extend_to_maximal_laminar(singletons(g.n), tight_odd_sets(face, g))
     report = goodness_check(face, fam, 1, g)
     if not report.ok:
         raise EngineError(f"initial pair not 1-good: {report}")
@@ -260,7 +260,7 @@ def advance(state: FaceLaminarState, g: Graph) -> FaceLaminarState:
     records = chain_records + (final_record,)
     if len(records) > ceil_log2(g.n) + 1:
         raise EngineError("round used more weight functions than its budget")
-    fam_out = extend_masks(state.laminar, tight_masks(f_out, g))
+    fam_out = extend_to_maximal_laminar(state.laminar, tight_odd_sets(f_out, g))
     report = goodness_check(f_out, fam_out, 2 * th, g)
     if not report.ok:
         raise EngineError(

@@ -8,13 +8,13 @@ multigraph, alternating circuits with their signed indicator vectors, the
 respect predicate, and the combined progress check (maximality + small-set
 contractibility + no short circuit in the contraction).
 
-Conventions: inside, every vertex set (tight sets, laminar members,
-chains, contraction nodes) is an int mask with bit v - 1 for vertex v, so
-set algebra and the crossing test are a few integer operations; the public
-functions take and return frozensets of labels, built only at that edge.
-Edge vectors are integer tuples of length m indexed by edge id - 1, and
-circuit vectors are canonicalized so their first nonzero coordinate is
-positive.
+Conventions: every vertex set (tight sets, laminar members, chains,
+contraction nodes, witnesses) is an int mask with bit v - 1 for vertex v,
+so set algebra and the crossing test are a few integer operations; the
+public functions that take a mask from their caller check that it names a
+nonempty set of the graph's vertices.  Edge vectors are integer tuples of
+length m indexed by edge id - 1, and circuit vectors are canonicalized so
+their first nonzero coordinate is positive.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .graphs import (
     edge_mask,
     enumerate_perfect_matchings,
     laminar_check,
-    vertex_mask,
 )
 from .weights import WeightFunction
 
@@ -86,7 +85,7 @@ class Face:
 
     @cached_property
     def tight_memo(self) -> dict[Graph, tuple[int, ...]]:
-        """What tight_masks has found on this face, per graph."""
+        """What tight_odd_sets has found on this face, per graph."""
         return {}
 
 
@@ -100,17 +99,24 @@ def perfect_matching_face(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> F
 
 def min_weight_subface(face: Face, w: WeightFunction) -> Face:
     """Subface of the matchings attaining minimum total weight under w; the
-    face itself, with what is memoized on it, when they all do."""
+    face itself, with what is memoized on it, when they all do.  A cutting
+    subface takes its edge masks from the face: the filter keeps order."""
     totals = [w.matching_weight(mm) for mm in face.matchings]
     best = min(totals)
     if totals.count(best) == len(totals):
         return face
-    return Face(tuple(mm for mm, t in zip(face.matchings, totals) if t == best))
+    keep = [i for i, t in enumerate(totals) if t == best]
+    sub = Face(tuple(face.matchings[i] for i in keep))
+    masks = face.matching_masks
+    sub.__dict__["matching_masks"] = tuple(masks[i] for i in keep)
+    return sub
 
 
-def face_support(face: Face) -> frozenset[int]:
-    """Edges appearing in at least one matching of the face."""
-    return frozenset(bit_positions(face.support_mask))
+def _check_vertex_mask(s: int, n: int) -> None:
+    """The one range check on a vertex mask from a caller: a nonempty set
+    of the vertices 1..n."""
+    if not 0 < s < 1 << n:
+        raise ValueError(f"vertex mask {s} is not a nonempty set of vertices 1..{n}")
 
 
 def _set_sorted(masks: Iterable[int]) -> list[int]:
@@ -130,7 +136,7 @@ def _tight_odd_masks(face: Face, g: Graph) -> tuple[int, ...]:
     vertex and XORs its incidence mask into the cut (Knuth, TAOCP 7.2.1.1).
     Odd steps flip vertex 2 and leave the set even, so the walk takes two
     at a time.  Most sets already meet the first matching more than once;
-    the others take the test of _is_tight."""
+    the others take the test of is_tight."""
     n, k = g.n, len(face)
     field, repunit, packed = face.side_by_side
     inc, first = g.incidence_masks, face.matching_masks[0]
@@ -146,9 +152,10 @@ def _tight_odd_masks(face: Face, g: Graph) -> tuple[int, ...]:
     return tuple(_set_sorted(out))
 
 
-def tight_masks(face: Face, g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> tuple[int, ...]:
-    """The tight odd sets of the face as vertex masks, behind the guard;
-    memoized on the face."""
+def tight_odd_sets(face: Face, g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> tuple[int, ...]:
+    """All odd vertex sets crossed exactly once by every matching of the
+    face, as masks in (size, lexicographic) order; always includes the
+    singletons.  Behind the guard; memoized on the face."""
     if g.n > max_vertices:
         raise SizeGuardExceeded(f"n={g.n} exceeds oracle guard {max_vertices}")
     masks = face.tight_memo.get(g)
@@ -157,64 +164,40 @@ def tight_masks(face: Face, g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) ->
     return masks
 
 
-def tight_odd_sets(face: Face, g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> tuple[frozenset[int], ...]:
-    """All odd vertex sets crossed exactly once by every matching of the
-    face; always includes the singletons."""
-    return tuple(frozenset(bit_positions(s)) for s in tight_masks(face, g, max_vertices))
-
-
-def _is_tight(face: Face, g: Graph, s: int) -> bool:
+def is_tight(face: Face, g: Graph, s: int) -> bool:
     """Tightness of a vertex mask.  A perfect matching crosses an odd set an
     odd number of times, so an odd set is tight iff its cut meets the
     face's matchings len(face) times in all."""
+    _check_vertex_mask(s, g.n)
     field, repunit, packed = face.side_by_side
     cut = g.delta_mask(s) & field
     return s.bit_count() % 2 == 1 and (cut * repunit & packed).bit_count() == len(face)
 
 
-def is_tight(face: Face, g: Graph, s: frozenset[int]) -> bool:
-    return _is_tight(face, g, vertex_mask(s))
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LaminarFamily:
     """Pairwise non-crossing odd vertex sets containing every singleton,
-    held as vertex masks in (size, lexicographic) order.  Built from vertex
-    sets, or from masks by ``of_masks``; ``sets`` gives the vertex sets."""
+    held as vertex masks in (size, lexicographic) order."""
 
     n: int
     masks: tuple[int, ...]
 
-    def __init__(self, n: int, sets: Iterable[frozenset[int]]):
-        self._settle(n, [vertex_mask(s) for s in sets])  # a label below 1 raises here
-
-    @classmethod
-    def of_masks(cls, n: int, masks: Iterable[int]) -> LaminarFamily:
-        fam = cls.__new__(cls)
-        fam._settle(n, masks)
-        return fam
-
-    def _settle(self, n: int, masks: Iterable[int]) -> None:
-        canon = tuple(_set_sorted(set(masks)))
+    def __post_init__(self):
+        n = self.n
+        canon = tuple(_set_sorted(set(self.masks)))
         present = set(canon)
         for v in range(n):
             if 1 << v not in present:
                 raise ValueError(f"laminar family must contain the singleton {{{v + 1}}}")
         for s in canon:
+            _check_vertex_mask(s, n)
             if s.bit_count() % 2 == 0:
                 raise ValueError(f"laminar member {list(bit_positions(s))} has even size")
-            if s >> n:
-                raise ValueError(f"laminar member {list(bit_positions(s))} out of range")
         ok, pair = laminar_check(canon)
         if not ok:
             a, b = pair
             raise ValueError(f"sets {list(bit_positions(a))} and {list(bit_positions(b))} cross")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", canon)
-
-    @cached_property
-    def sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(bit_positions(s)) for s in self.masks)
 
     def maximal_at_most(self, size: int) -> tuple[int, ...]:
         """Masks of the inclusion-maximal members of size <= size, in vertex
@@ -230,7 +213,7 @@ class LaminarFamily:
 
 
 def singletons(n: int) -> LaminarFamily:
-    return LaminarFamily.of_masks(n, [1 << v for v in range(n)])
+    return LaminarFamily(n, [1 << v for v in range(n)])
 
 
 def _crosses_any(s: int, masks: Iterable[int]) -> bool:
@@ -243,11 +226,11 @@ def _crosses_any(s: int, masks: Iterable[int]) -> bool:
     return False
 
 
-def extend_masks(base: LaminarFamily, candidates: Sequence[int]) -> LaminarFamily:
-    """Greedily add distinct candidate masks, given in (size, lexicographic)
-    order as tight_masks returns them, while laminarity is preserved; the
-    result is a maximal laminar subset of the candidates containing the
-    base."""
+def extend_to_maximal_laminar(base: LaminarFamily, candidates: Sequence[int]) -> LaminarFamily:
+    """Greedily add candidate masks, taken in the order given ((size,
+    lexicographic) as tight_odd_sets returns them), while laminarity is
+    preserved; the result is a maximal laminar subset of the candidates
+    containing the base."""
     present = set(base.masks)
     if not present <= set(candidates):
         raise ValueError("candidates must contain the base family")
@@ -255,16 +238,7 @@ def extend_masks(base: LaminarFamily, candidates: Sequence[int]) -> LaminarFamil
     for s in candidates:
         if s not in present and not _crosses_any(s, chosen):
             chosen.append(s)
-    return LaminarFamily.of_masks(base.n, chosen)
-
-
-def extend_to_maximal_laminar(
-    base: LaminarFamily, candidates: Iterable[frozenset[int]]
-) -> LaminarFamily:
-    """Greedily add candidates (size ascending, then lexicographic) while
-    laminarity is preserved; the result is a maximal laminar subset of the
-    candidates containing the base."""
-    return extend_masks(base, _set_sorted({vertex_mask(s) for s in candidates}))
+    return LaminarFamily(base.n, chosen)
 
 
 def _maximality_witness(tight: tuple[int, ...], fam: LaminarFamily) -> int | None:
@@ -301,7 +275,7 @@ def laminar_spans_tight_cuts(face: Face, fam: LaminarFamily, g: Graph) -> bool:
 
     Raises if fam is not a maximal laminar subset of tight(face).
     """
-    tight = tight_masks(face, g)
+    tight = tight_odd_sets(face, g)
     bad = _maximality_witness(tight, fam)
     if bad is not None:
         raise ValueError(f"not a maximal laminar family of tight sets: {list(bit_positions(bad))}")
@@ -322,41 +296,37 @@ def laminar_spans_tight_cuts(face: Face, fam: LaminarFamily, g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class UncrossCertificate:
-    sets: tuple[frozenset[int], frozenset[int]]
+    sets: tuple[int, int]
     odd_intersection: bool
     lhs_on_support: tuple[int, ...]
     rhs_on_support: tuple[int, ...]
 
 
-def uncross_pair(
-    s: frozenset[int], t: frozenset[int], face: Face, g: Graph
-) -> tuple[frozenset[int], frozenset[int], UncrossCertificate]:
+def uncross_pair(s: int, t: int, face: Face, g: Graph) -> tuple[int, int, UncrossCertificate]:
     """Replace a crossing pair of tight sets by a non-crossing tight pair.
 
     Odd intersection gives (S&T, S|T), even gives (S-T, T-S); in both cases
     the boundary-indicator identity holds coordinatewise on the support of
     the face, and both returned sets are verified tight.
     """
-    sm, tm = vertex_mask(s), vertex_mask(t)
-    if not crossing(sm, tm):
-        raise ValueError("sets do not cross")
-    if not _is_tight(face, g, sm) or not _is_tight(face, g, tm):
+    if not is_tight(face, g, s) or not is_tight(face, g, t):
         raise ValueError("both sets must be tight for the face")
-    odd = (sm & tm).bit_count() % 2 == 1
-    am, bm = (sm & tm, sm | tm) if odd else (sm & ~tm, tm & ~sm)
+    if not crossing(s, t):
+        raise ValueError("sets do not cross")
+    odd = (s & t).bit_count() % 2 == 1
+    a, b = (s & t, s | t) if odd else (s & ~t, t & ~s)
     shifts = [j - 1 for j in bit_positions(face.support_mask)]
 
     def on_support(x: int, y: int) -> tuple[int, ...]:
         dx, dy = g.delta_mask(x), g.delta_mask(y)
         return tuple((dx >> j & 1) + (dy >> j & 1) for j in shifts)
 
-    lhs = on_support(sm, tm)
-    rhs = on_support(am, bm)
+    lhs = on_support(s, t)
+    rhs = on_support(a, b)
     if lhs != rhs:
         raise EngineError("uncrossing identity failed on the face support")
-    if not _is_tight(face, g, am) or not _is_tight(face, g, bm):
+    if not is_tight(face, g, a) or not is_tight(face, g, b):
         raise EngineError("uncrossed sets are not tight")
-    a, b = frozenset(bit_positions(am)), frozenset(bit_positions(bm))
     return a, b, UncrossCertificate((a, b), odd, lhs, rhs)
 
 
@@ -364,7 +334,7 @@ class ChainLayer(NamedTuple):
     """Layer U_{p..r} of a nested chain: chain[p-2] is stripped from
     chain[r-1] (1-based p, r; p >= 2 here, p = 1 is the plain-set form)."""
 
-    chain: tuple[frozenset[int], ...]
+    chain: tuple[int, ...]
     p: int
     r: int
 
@@ -390,24 +360,23 @@ def forcing_groups(face: Face, g: Graph, hi: int, lo: int = 0) -> dict[int, tupl
 def is_contractible(face: Face, target, g: Graph) -> bool:
     """Contractibility of a tight set, or of a chain layer.
 
-    Plain form (target a vertex frozenset): every boundary edge forces the
+    Plain form (target a vertex mask): every boundary edge forces the
     matching inside the set.  Layer form (target a ChainLayer): every pair
     of boundary edges of the two chain prefixes forces the matching inside
     the layer.  Raises when the target is not tight.
     """
     if not isinstance(target, ChainLayer):
-        masks = [vertex_mask(target)]
-        lo, hi = 0, masks[0]
+        masks = [target]
+        lo, hi = 0, target
     else:
-        chain, p, r = target
-        if not (2 <= p <= r <= len(chain)):
-            raise ValueError(f"need 2 <= p <= r <= {len(chain)}, got p={p} r={r}")
-        masks = [vertex_mask(s) for s in chain]
+        masks, p, r = target
+        if not (2 <= p <= r <= len(masks)):
+            raise ValueError(f"need 2 <= p <= r <= {len(masks)}, got p={p} r={r}")
         lo, hi = masks[p - 2], masks[r - 1]
         if lo & hi != lo or lo == hi:
             raise ValueError("chain sets must be strictly nested")
     for s in masks:
-        if not _is_tight(face, g, s):
+        if not is_tight(face, g, s):
             raise ValueError(f"set {list(bit_positions(s))} is not tight for the face")
     return contractible_mask(face, hi, g, lo)
 
@@ -430,16 +399,12 @@ class ContractionMultigraph:
     ambient edge space."""
 
     m: int
-    nodes: tuple[frozenset[int], ...]
+    nodes: tuple[int, ...]  # vertex masks
     edges: tuple[tuple[int, int, int], ...]  # (node_a, node_b, edge_id), a < b
 
     @property
     def node_weights(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.nodes)
-
-    @cached_property
-    def node_masks(self) -> tuple[int, ...]:
-        return tuple(vertex_mask(s) for s in self.nodes)
+        return tuple(s.bit_count() for s in self.nodes)
 
     @cached_property
     def edge_id_set(self) -> frozenset[int]:
@@ -462,7 +427,7 @@ def contract_face(
     # Every perfect matching covers a vertex once: singletons are tight on
     # every face and are not tested.
     for s in fam.masks[fam.n :]:
-        if not _is_tight(face, g, s):
+        if not is_tight(face, g, s):
             raise ValueError(f"laminar member {list(bit_positions(s))} is not tight for the face")
     return tight_contraction(face, fam, threshold, g)
 
@@ -487,8 +452,7 @@ def tight_contraction(
         a, b = node_of[u], node_of[v]
         if a != b:
             edges.append((min(a, b), max(a, b), eid))
-    node_sets = tuple(frozenset(bit_positions(s)) for s in nodes)
-    return ContractionMultigraph(g.m, node_sets, tuple(edges))
+    return ContractionMultigraph(g.m, nodes, tuple(edges))
 
 
 def canonical_sign(vec: Sequence[int]) -> tuple[int, ...]:
@@ -556,11 +520,11 @@ def respects_face(
     ymask = edge_mask(j for j, c in enumerate(y, start=1) if c)
     if ymask & ~face.support_mask:
         return False
-    masks = tight_masks(face, g)
+    masks = tight_odd_sets(face, g)
     if contraction is not None:
         # The nodes partition the vertices: a union of nodes is a set that
         # no node straddles.
-        nodes = contraction.node_masks
+        nodes = contraction.nodes
         masks = [t for t in masks if not any(nm & t and nm & t != nm for nm in nodes)]
     for tmask in masks:
         if sum(y[j - 1] for j in bit_positions(g.delta_mask(tmask) & ymask)):
@@ -590,7 +554,7 @@ def lift_contracted_vector(
     if zmask & ~face.support_mask:
         raise ValueError("vector support must lie inside the face support")
     y = list(z)
-    for sm in h.node_masks:
+    for sm in h.nodes:
         if sm.bit_count() == 1:
             continue
         boundary = bit_positions(g.delta_mask(sm) & zmask)
@@ -619,7 +583,7 @@ def lift_contracted_vector(
 class GoodnessReport:
     ok: bool
     failed: str | None = None  # "maximality" | "contractibility" | "circuit"
-    witness: object = None
+    witness: object = None  # a vertex mask, or a circuit vector
 
     def __bool__(self) -> bool:
         return self.ok
@@ -635,14 +599,14 @@ def goodness_check(face: Face, fam: LaminarFamily, threshold: int, g: Graph) -> 
 
     Returns which clause failed and a witness when not good.
     """
-    bad = _maximality_witness(tight_masks(face, g), fam)
+    bad = _maximality_witness(tight_odd_sets(face, g), fam)
     if bad is not None:
-        return GoodnessReport(False, "maximality", frozenset(bit_positions(bad)))
+        return GoodnessReport(False, "maximality", bad)
     # Maximality has just proved every member tight, as contractible_mask
     # and tight_contraction need.
     for s in fam.masks:
         if s.bit_count() <= threshold and not contractible_mask(face, s, g):
-            return GoodnessReport(False, "contractibility", frozenset(bit_positions(s)))
+            return GoodnessReport(False, "contractibility", s)
     h = tight_contraction(face, fam, threshold, g)
     vectors = bounded_circuit_vectors(h, threshold)
     if vectors:

@@ -122,6 +122,8 @@ class Graph:
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
+    """The mask of a set of vertex labels, bit v - 1 for vertex v: the
+    vertex-set type of faces and engine."""
     acc = 0
     for v in vertices:
         acc |= 1 << (v - 1)
@@ -613,14 +615,14 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, int]]) -> list[int]
 
 def crossing(s, t) -> bool:
     """S and T cross when S&T, S-T and T-S are all nonempty: S&T is neither
-    empty nor S nor T.  Takes two vertex masks or two frozensets."""
+    empty nor S nor T, for two vertex masks."""
     common = s & t
     return bool(common) and common != s and common != t
 
 
 def laminar_check(sets: Iterable) -> tuple[bool, tuple | None]:
     """True iff pairwise non-crossing; otherwise also the first crossing pair
-    in scan order.  Takes vertex masks or frozensets."""
+    in scan order, for vertex masks."""
     seq = list(sets)
     for i in range(len(seq)):
         for j in range(i + 1, len(seq)):

@@ -43,7 +43,7 @@ def lift(z, face, h, g) -> tuple[int, ...]:
     """lift_contracted_vector's insertion of forced interiors, without its
     input checks."""
     y = list(z)
-    for node in h.node_masks:
+    for node in h.nodes:
         if node.bit_count() == 1:
             continue
         pos, neg = [], []

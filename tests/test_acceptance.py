@@ -41,7 +41,7 @@ from matchiso.faces import (
     is_contractible,
     singletons,
 )
-from matchiso.graphs import crossing
+from matchiso.graphs import bit_positions, crossing
 from matchiso.smallgraphs import connected_graphs
 from matchiso.tutte import STATUS_MATCHED, STATUS_NO_PM, STATUS_NOT_ISOLATING, is_prime
 
@@ -345,15 +345,15 @@ def _structural_checks(face, g, limit_pairs=40, limit_sets=None):
             pairs_checked += 1
     # Contractibility: downward closure on nested tight pairs, and
     # stability under one seeded subface.
-    sets = list(tight) if limit_sets is None else list(fam.sets) + [
-        s for s in tight if s not in fam.sets
+    sets = list(tight) if limit_sets is None else list(fam.masks) + [
+        s for s in tight if s not in fam.masks
     ][:limit_sets]
     flags = {s: is_contractible(face, s, g) for s in sets}
     for s, t in itertools.combinations(sets, 2):
-        if s < t and flags[t]:
-            assert flags[s], f"downward closure failed for {sorted(s)} < {sorted(t)}"
-        if t < s and flags[s]:
-            assert flags[t], f"downward closure failed for {sorted(t)} < {sorted(s)}"
+        if s & t == s != t and flags[t]:
+            assert flags[s], f"downward closure failed for {bit_positions(s)} < {bit_positions(t)}"
+        if s & t == t != s and flags[s]:
+            assert flags[t], f"downward closure failed for {bit_positions(t)} < {bit_positions(s)}"
     sub = min_weight_subface(face, random_weights(g, 99))
     for s in sets:
         if flags[s]:

@@ -362,6 +362,26 @@ def test_isolate_derandomized_reports_match_golden(capsys, tmp_path, case):
     assert json.dumps(report, separators=(",", ":")) == case["report"]
 
 
+FACES_GOLDEN = [json.loads(line) for line in (DATA / "faces_golden.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("case", FACES_GOLDEN, ids=[case["name"] for case in FACES_GOLDEN])
+def test_face_and_goodness_reports_match_golden(capsys, tmp_path, case):
+    """Reports recorded with the frozenset-based faces layer: face and
+    goodness (lambda 1, 2, 4, 6) on C4, the prism, the cube, Petersen, K6
+    and a 6-vertex graph whose lambda-6 check fails on contractibility,
+    with no --weights and with the chains 2, 3,5 and 7.  They cover every
+    witness kind: none, a vertex set and a circuit vector."""
+    path = tmp_path / "graph.txt"
+    path.write_text(case["graph"])
+    verb, *rest = case["args"]
+    code, out, _ = run(capsys, verb, "--graph", str(path), *rest)
+    assert code == 0
+    report = payload(out)
+    del report["ms"]
+    assert json.dumps(report, separators=(",", ":")) == case["report"]
+
+
 def test_pretty_flag(capsys, c4_file):
     code, out, _ = run(capsys, "--pretty", "face", "--graph", c4_file)
     assert code == 0

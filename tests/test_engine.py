@@ -24,11 +24,13 @@ from matchiso import (
 )
 from matchiso.engine import ceil_log2, chain_phase_spans, compose_log, PhaseRecord
 from matchiso.faces import contract_face, bounded_circuit_vectors
+from matchiso.graphs import vertex_mask
 from matchiso.tutte import STATUS_MATCHED, STATUS_NO_PM
 
 from conftest import random_graph_with_pm
 
-f = frozenset
+f = frozenset  # a matching: edge ids
+v = vertex_mask  # a vertex set: the mask of its labels
 
 
 def test_ceil_log2():
@@ -47,7 +49,7 @@ def test_initial_state_is_good(c4):
     state = initial_state(c4)
     assert state.threshold == 1
     assert len(state.face) == 2
-    assert f({1, 2, 3}) in state.laminar.sets
+    assert v({1, 2, 3}) in state.laminar.masks
 
 
 def test_remove_circuits_c4_trace(c4):
@@ -103,7 +105,7 @@ def test_make_chains_k6_five_set(k6):
     assert records[0].label.startswith("circuits:bound=8,beta=4")
     from matchiso.faces import is_contractible
 
-    assert is_contractible(face, f({1, 2, 3, 4, 5}), k6)
+    assert is_contractible(face, v({1, 2, 3, 4, 5}), k6)
 
 
 def test_advance_c4_two_rounds(c4):
@@ -116,7 +118,7 @@ def test_advance_c4_two_rounds(c4):
     st2 = advance(st1, c4)
     assert st2.threshold == 4
     assert st2.face.matchings == (f({1, 4}),)
-    assert set(state.laminar.sets) <= set(st2.laminar.sets)
+    assert set(state.laminar.masks) <= set(st2.laminar.masks)
 
 
 def test_advance_noop_on_unique_matching(p4):

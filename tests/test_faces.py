@@ -15,7 +15,6 @@ from matchiso import (
     contract_face,
     enumerate_perfect_matchings,
     extend_to_maximal_laminar,
-    face_support,
     family_member,
     goodness_check,
     graph_from_edges,
@@ -32,18 +31,19 @@ from matchiso.faces import (
     canonical_sign,
     is_tight,
     singletons,
-    tight_masks,
 )
-from matchiso.graphs import bit_positions
+from matchiso.graphs import bit_positions, edge_mask, vertex_mask
 from matchiso.weights import random_weights
 
 from conftest import random_graph_with_pm
 
-f = frozenset
+f = frozenset  # a matching: edge ids
+v = vertex_mask  # a vertex set: the mask of its labels
 
 
 def tight_sets_oracle(face, g):
-    """Independent implementation: explicit subsets and crossing counts."""
+    """Independent implementation: explicit subsets and crossing counts;
+    the masks of the tight sets in (size, lexicographic) order."""
     out = []
     for size in range(1, g.n + 1, 2):
         for s in itertools.combinations(range(1, g.n + 1), size):
@@ -57,8 +57,8 @@ def tight_sets_oracle(face, g):
                     ok = False
                     break
             if ok:
-                out.append(f(s))
-    return sorted(out, key=lambda x: (len(x), sorted(x)))
+                out.append(s)
+    return [v(s) for s in sorted(out, key=lambda x: (len(x), x))]
 
 
 @pytest.fixture
@@ -99,22 +99,46 @@ def test_min_weight_subface(c4, k4):
 
 def test_noop_minimization_returns_the_same_face(k4):
     face = perfect_matching_face(k4)
-    tight = tight_masks(face, k4)
+    tight = tight_odd_sets(face, k4)
     # Every perfect matching of K4 has two edges, so unit weights tie them.
     same = min_weight_subface(face, WeightFunction(4, (1,) * 6))
     assert same is face
-    assert tight_masks(same, k4) is tight
+    assert tight_odd_sets(same, k4) is tight
 
 
 def test_cutting_minimization_returns_a_new_face(prism):
     face = perfect_matching_face(prism)
-    tight = tight_masks(face, prism)
+    tight = tight_odd_sets(face, prism)
     # Weight on edge 7 = (4, 5) cuts the one matching that uses it.
     sub = min_weight_subface(face, WeightFunction(6, (0, 0, 0, 0, 0, 0, 1, 0, 0)))
     assert sub is not face and len(sub) == len(face) - 1
     # The subface walks its own tight sets, not the parent's.
-    assert set(tight) < set(tight_masks(sub, prism))
-    assert [f(bit_positions(s)) for s in tight_masks(sub, prism)] == tight_sets_oracle(sub, prism)
+    assert set(tight) < set(tight_odd_sets(sub, prism))
+    assert list(tight_odd_sets(sub, prism)) == tight_sets_oracle(sub, prism)
+
+
+def test_cutting_subface_takes_the_parent_masks():
+    """A cutting subface is handed its parent's edge masks, filtered; they
+    equal the masks of its own matchings.  Draws as in criterion 8, with
+    chains of minimizations under random weights and small family members."""
+    rng = random.Random(808)
+    cutting = 0
+    for _ in range(200):
+        n = rng.choice([4, 6, 8])
+        g = random_graph_with_pm(n, rng.uniform(0.2, 0.8), rng)
+        face = perfect_matching_face(g)
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                w = random_weights(g, rng.randrange(1 << 30))
+            else:
+                w = family_member(rng.randint(2, 5), g.n, g.m)
+            sub = min_weight_subface(face, w)
+            if sub is not face:
+                cutting += 1
+                assert "matching_masks" in vars(sub)  # handed over, not rebuilt
+            assert sub.matching_masks == tuple(edge_mask(mm) for mm in sub.matchings)
+            face = sub
+    assert cutting >= 100
 
 
 def test_tight_sets_are_memoized_per_graph(c6):
@@ -123,15 +147,15 @@ def test_tight_sets_are_memoized_per_graph(c6):
     other = graph_from_edges(6, [(1, 2), (1, 3), (2, 5), (3, 4), (4, 6), (5, 6)])
     face = perfect_matching_face(c6)
     assert face.matchings == perfect_matching_face(other).matchings
-    assert tight_masks(face, c6) != tight_masks(face, other)
+    assert tight_odd_sets(face, c6) != tight_odd_sets(face, other)
     for g in (c6, other, c6):
-        assert [f(bit_positions(s)) for s in tight_masks(face, g)] == tight_sets_oracle(face, g)
+        assert list(tight_odd_sets(face, g)) == tight_sets_oracle(face, g)
 
 
 def test_face_support(c4):
     face = perfect_matching_face(c4)
-    assert face_support(face) == f({1, 2, 3, 4})
-    assert face_support(Face((f({2, 3}),))) == f({2, 3})
+    assert face.support_mask == edge_mask({1, 2, 3, 4})
+    assert Face((f({2, 3}),)).support_mask == edge_mask({2, 3})
 
 
 def test_face_support_five_edge_document(fig_four_vertex):
@@ -139,7 +163,7 @@ def test_face_support_five_edge_document(fig_four_vertex):
     # in no perfect matching, so the support excludes it.
     face = perfect_matching_face(fig_four_vertex)
     assert face.matchings == (f({1, 5}), f({2, 4}))
-    assert face_support(face) == f({1, 2, 4, 5})
+    assert face.support_mask == edge_mask({1, 2, 4, 5})
 
 
 def test_tight_odd_sets_c4(c4):
@@ -147,8 +171,8 @@ def test_tight_odd_sets_c4(c4):
     got = tight_odd_sets(face, c4)
     assert list(got) == tight_sets_oracle(face, c4)
     assert set(got) == {
-        f({1}), f({2}), f({3}), f({4}),
-        f({1, 2, 3}), f({1, 2, 4}), f({1, 3, 4}), f({2, 3, 4}),
+        v({1}), v({2}), v({3}), v({4}),
+        v({1, 2, 3}), v({1, 2, 4}), v({1, 3, 4}), v({2, 3, 4}),
     }
 
 
@@ -166,13 +190,13 @@ def test_tight_odd_sets_prism_full_face(prism):
     face = perfect_matching_face(prism)
     got = tight_odd_sets(face, prism)
     assert list(got) == tight_sets_oracle(face, prism)
-    assert f({1, 2, 3}) not in got
+    assert v({1, 2, 3}) not in got
     assert len(got) == 12
 
 
 def test_tight_odd_sets_one_connector_face(prism, prism_one_connector_face):
     got = tight_odd_sets(prism_one_connector_face, prism)
-    assert f({1, 2, 3}) in got and f({4, 5, 6}) in got
+    assert v({1, 2, 3}) in got and v({4, 5, 6}) in got
     assert list(got) == tight_sets_oracle(prism_one_connector_face, prism)
 
 
@@ -198,8 +222,7 @@ def test_gray_code_tight_sets_match_oracle_on_larger_graphs(n):
         whole = perfect_matching_face(g)
         # A small family member ties many matchings, so the subface is rarely a point.
         for face in (whole, min_weight_subface(whole, family_member(rng.randint(2, 4), g.n, g.m))):
-            got = [f(bit_positions(s)) for s in tight_masks(face, g)]
-            assert got == tight_sets_oracle(face, g)
+            assert list(tight_odd_sets(face, g)) == tight_sets_oracle(face, g)
 
 
 def test_mask_tightness_matches_oracle_on_every_set():
@@ -210,7 +233,7 @@ def test_mask_tightness_matches_oracle_on_every_set():
         tight = set(tight_sets_oracle(face, g))
         for size in range(1, 9):
             for s in itertools.combinations(range(1, 9), size):
-                assert is_tight(face, g, f(s)) == (f(s) in tight)
+                assert is_tight(face, g, v(s)) == (v(s) in tight)
 
 
 def test_extend_to_maximal_laminar_c4(c4):
@@ -219,25 +242,25 @@ def test_extend_to_maximal_laminar_c4(c4):
     fam = extend_to_maximal_laminar(base, tight_odd_sets(face, c4))
     # Any two distinct 3-subsets of a 4-set cross, so exactly one triple
     # joins, and the (size, lexicographic) order picks {1,2,3}.
-    assert fam.sets == (f({1}), f({2}), f({3}), f({4}), f({1, 2, 3}))
-    assert extend_to_maximal_laminar(fam, fam.sets).sets == fam.sets
+    assert fam.masks == (v({1}), v({2}), v({3}), v({4}), v({1, 2, 3}))
+    assert extend_to_maximal_laminar(fam, fam.masks).masks == fam.masks
 
 
 def test_extend_requires_candidates_superset(c4):
     base = singletons(4)
     with pytest.raises(ValueError):
-        extend_to_maximal_laminar(base, [f({1, 2, 3})])
+        extend_to_maximal_laminar(base, [v({1, 2, 3})])
 
 
 def test_laminar_family_validation():
     with pytest.raises(ValueError):
-        LaminarFamily(3, (f({1}), f({2})))  # singleton {3} missing
+        LaminarFamily(3, (v({1}), v({2})))  # singleton {3} missing
     with pytest.raises(ValueError):
-        LaminarFamily(2, (f({1}), f({2}), f({1, 2})))  # even member
+        LaminarFamily(2, (v({1}), v({2}), v({1, 2})))  # even member
     with pytest.raises(ValueError):
         LaminarFamily(
             4,
-            (f({1}), f({2}), f({3}), f({4}), f({1, 2, 3}), f({2, 3, 4})),
+            (v({1}), v({2}), v({3}), v({4}), v({1, 2, 3}), v({2, 3, 4})),
         )  # crossing members
 
 
@@ -256,17 +279,17 @@ def test_span_equality_requires_maximal(c4):
 
 def test_uncross_even_intersection(c4):
     face = perfect_matching_face(c4)
-    a, b, cert = uncross_pair(f({1, 2, 3}), f({2, 3, 4}), face, c4)
-    assert (a, b) == (f({1}), f({4}))
+    a, b, cert = uncross_pair(v({1, 2, 3}), v({2, 3, 4}), face, c4)
+    assert (a, b) == (v({1}), v({4}))
     assert not cert.odd_intersection
     assert cert.lhs_on_support == cert.rhs_on_support
 
 
 def test_uncross_odd_intersection(c6):
     face = perfect_matching_face(c6)
-    s, t = f({1, 2, 3}), f({3, 4, 5})
+    s, t = v({1, 2, 3}), v({3, 4, 5})
     a, b, cert = uncross_pair(s, t, face, c6)
-    assert (a, b) == (f({3}), f({1, 2, 3, 4, 5}))
+    assert (a, b) == (v({3}), v({1, 2, 3, 4, 5}))
     assert cert.odd_intersection
     assert cert.lhs_on_support == cert.rhs_on_support
 
@@ -274,44 +297,64 @@ def test_uncross_odd_intersection(c6):
 def test_uncross_rejects_non_crossing(c4):
     face = perfect_matching_face(c4)
     with pytest.raises(ValueError):
-        uncross_pair(f({1}), f({2}), face, c4)  # disjoint
+        uncross_pair(v({1}), v({2}), face, c4)  # disjoint
     with pytest.raises(ValueError):
-        uncross_pair(f({1}), f({1, 2, 3}), face, c4)  # nested
+        uncross_pair(v({1}), v({1, 2, 3}), face, c4)  # nested
     with pytest.raises(ValueError):
-        uncross_pair(f({1, 2}), f({2, 3, 4}), face, c4)  # {1,2} not tight
+        uncross_pair(v({1, 2}), v({2, 3, 4}), face, c4)  # {1,2} not tight
+
+
+@pytest.mark.parametrize(
+    "s", [0, -1, 1 << 4, v({1, 2, 5})], ids=["zero", "negative", "one-shl-n", "bit-above-n"]
+)
+def test_out_of_range_vertex_masks_raise_value_error(c4, s):
+    """Every public function taking a vertex mask from its caller refuses
+    one that is not a nonempty set of the vertices 1..n."""
+    face = perfect_matching_face(c4)
+    for call in (
+        lambda: is_tight(face, c4, s),
+        lambda: is_contractible(face, s, c4),
+        lambda: is_contractible(face, ChainLayer((v({1}), v({1, 2, 3}), s), 2, 2), c4),
+        lambda: uncross_pair(s, v({2, 3, 4}), face, c4),
+        lambda: uncross_pair(v({1, 2, 3}), s, face, c4),
+    ):
+        with pytest.raises(ValueError, match="vertex mask"):
+            call()
+    with pytest.raises(ValueError, match="vertex mask"):
+        LaminarFamily(4, singletons(4).masks + (s,))
 
 
 def test_contractible_singletons_always(c4):
     face = perfect_matching_face(c4)
-    for v in range(1, 5):
-        assert is_contractible(face, f({v}), c4)
+    for x in range(1, 5):
+        assert is_contractible(face, v({x}), c4)
 
 
 def test_contractible_c4_triple(c4):
     face = perfect_matching_face(c4)
-    assert is_contractible(face, f({1, 2, 3}), c4)
+    assert is_contractible(face, v({1, 2, 3}), c4)
 
 
 def test_contractible_prism_triangle(prism, prism_one_connector_face):
     # Fixing the crossing connector forces the interior triangle edge.
-    assert is_contractible(prism_one_connector_face, f({1, 2, 3}), prism)
-    assert is_contractible(prism_one_connector_face, f({4, 5, 6}), prism)
+    assert is_contractible(prism_one_connector_face, v({1, 2, 3}), prism)
+    assert is_contractible(prism_one_connector_face, v({4, 5, 6}), prism)
 
 
 def test_contractible_fails_on_k6_five_set(k6):
     face = perfect_matching_face(k6)
     # Matchings through a fixed boundary edge still differ inside {1..5}.
-    assert not is_contractible(face, f({1, 2, 3, 4, 5}), k6)
+    assert not is_contractible(face, v({1, 2, 3, 4, 5}), k6)
 
 
 def test_contractible_requires_tight(prism):
     face = perfect_matching_face(prism)
     with pytest.raises(ValueError):
-        is_contractible(face, f({1, 2, 3}), prism)  # not tight for full face
+        is_contractible(face, v({1, 2, 3}), prism)  # not tight for full face
 
 
 def layer_oracle(face, g, chain, p, r):
-    lo, hi = set(chain[p - 2]), set(chain[r - 1])
+    lo, hi = set(bit_positions(chain[p - 2])), set(bit_positions(chain[r - 1]))
     u = hi - lo
     interior = [
         j for j in range(1, g.m + 1) if set(g.endpoints(j)) <= u
@@ -331,13 +374,13 @@ def layer_oracle(face, g, chain, p, r):
 
 
 def test_layer_contractibility_matches_oracle(c6, k6):
-    chain_c6 = (f({3}), f({1, 2, 3}), f({1, 2, 3, 4, 5}))
+    chain_c6 = (v({3}), v({1, 2, 3}), v({1, 2, 3, 4, 5}))
     face = perfect_matching_face(c6)
     for p in (2, 3):
         for r in range(p, 4):
             got = is_contractible(face, ChainLayer(chain_c6, p, r), c6)
             assert got == layer_oracle(face, c6, chain_c6, p, r)
-    chain_k6 = (f({1}), f({1, 2, 3}), f({1, 2, 3, 4, 5}))
+    chain_k6 = (v({1}), v({1, 2, 3}), v({1, 2, 3, 4, 5}))
     face_k6 = perfect_matching_face(k6)
     # {1,2,3} is not tight for the K6 face, so the layer form must refuse.
     with pytest.raises(ValueError):
@@ -346,7 +389,7 @@ def test_layer_contractibility_matches_oracle(c6, k6):
 
 def test_layer_validation(c6):
     face = perfect_matching_face(c6)
-    chain = (f({3}), f({1, 2, 3}))
+    chain = (v({3}), v({1, 2, 3}))
     with pytest.raises(ValueError):
         is_contractible(face, ChainLayer(chain, 1, 1), c6)  # p must be >= 2
     with pytest.raises(ValueError):
@@ -356,15 +399,15 @@ def test_layer_validation(c6):
 def test_contract_face_uncontracted(c4):
     face = perfect_matching_face(c4)
     h = contract_face(face, singletons(4), 1, c4)
-    assert h.nodes == (f({1}), f({2}), f({3}), f({4}))
+    assert h.nodes == (v({1}), v({2}), v({3}), v({4}))
     assert h.node_weights == (1, 1, 1, 1)
     assert [e for _, _, e in h.edges] == [1, 2, 3, 4]
 
 
 def test_contract_face_prism_triangles(prism, prism_one_connector_face):
-    fam = LaminarFamily(6, singletons(6).sets + (f({1, 2, 3}), f({4, 5, 6})))
+    fam = LaminarFamily(6, singletons(6).masks + (v({1, 2, 3}), v({4, 5, 6})))
     h = contract_face(prism_one_connector_face, fam, 3, prism)
-    assert h.nodes == (f({1, 2, 3}), f({4, 5, 6}))
+    assert h.nodes == (v({1, 2, 3}), v({4, 5, 6}))
     assert h.node_weights == (3, 3)
     # Surviving edges are exactly the three connectors (ids 3, 5, 6).
     assert [e for _, _, e in h.edges] == [3, 5, 6]
@@ -373,18 +416,18 @@ def test_contract_face_prism_triangles(prism, prism_one_connector_face):
 
 def test_contract_face_erases_large_boundaries(prism, prism_one_connector_face):
     fam = LaminarFamily(
-        6, singletons(6).sets + (f({1, 2, 3}), f({1, 2, 3, 4, 5}))
+        6, singletons(6).masks + (v({1, 2, 3}), v({1, 2, 3, 4, 5}))
     )
     h = contract_face(prism_one_connector_face, fam, 3, prism)
     # {1,2,3} contracts; the 5-set boundary (edges at vertex 6) is erased;
     # the triangle interior disappears.  Edges left: (1,4)=3, (2,5)=5, (4,5)=7.
-    assert h.nodes == (f({1, 2, 3}), f({4}), f({5}), f({6}))
+    assert h.nodes == (v({1, 2, 3}), v({4}), v({5}), v({6}))
     assert [e for _, _, e in h.edges] == [3, 5, 7]
 
 
 def test_contract_face_rejects_untight_member(prism):
     face = perfect_matching_face(prism)
-    fam = LaminarFamily(6, singletons(6).sets + (f({1, 2, 3}),))
+    fam = LaminarFamily(6, singletons(6).masks + (v({1, 2, 3}),))
     with pytest.raises(ValueError):
         contract_face(face, fam, 3, prism)
 
@@ -396,7 +439,7 @@ def test_bounded_circuit_vectors_repeated_edge_walk():
     # 4-cycle.  A back-and-forth walk cancels to zero and is no circuit.
     h = ContractionMultigraph(
         5,
-        (f({1}), f({2}), f({3}), f({4}), f({5})),
+        (v({1}), v({2}), v({3}), v({4}), v({5})),
         ((0, 2, 1), (0, 3, 2), (1, 2, 3), (1, 3, 4), (3, 4, 5)),
     )
     assert bounded_circuit_vectors(h, 6) == (canonical_sign((-1, 1, 1, -1, 0)),)
@@ -438,7 +481,7 @@ def test_respects_face_whole_graph(c4):
 
 
 def test_respects_face_contraction_context(prism, prism_one_connector_face):
-    fam = LaminarFamily(6, singletons(6).sets + (f({1, 2, 3}), f({4, 5, 6})))
+    fam = LaminarFamily(6, singletons(6).masks + (v({1, 2, 3}), v({4, 5, 6})))
     h = contract_face(prism_one_connector_face, fam, 3, prism)
     z = [0] * 9
     z[2], z[4] = 1, -1  # connectors (1,4) and (2,5)
@@ -463,7 +506,7 @@ def test_lift_identity_on_singleton_nodes(c4):
 
 
 def test_lift_prism_inserts_forced_interiors(prism, prism_one_connector_face):
-    fam = LaminarFamily(6, singletons(6).sets + (f({1, 2, 3}), f({4, 5, 6})))
+    fam = LaminarFamily(6, singletons(6).masks + (v({1, 2, 3}), v({4, 5, 6})))
     h = contract_face(prism_one_connector_face, fam, 3, prism)
     z = [0] * 9
     z[2], z[4] = 1, -1  # +(1,4) -(2,5)
@@ -476,7 +519,7 @@ def test_lift_prism_inserts_forced_interiors(prism, prism_one_connector_face):
 
 
 def test_lift_rejects_unbalanced_vector(prism, prism_one_connector_face):
-    fam = LaminarFamily(6, singletons(6).sets + (f({1, 2, 3}), f({4, 5, 6})))
+    fam = LaminarFamily(6, singletons(6).masks + (v({1, 2, 3}), v({4, 5, 6})))
     h = contract_face(prism_one_connector_face, fam, 3, prism)
     z = [0] * 9
     z[2] = 1
@@ -486,7 +529,7 @@ def test_lift_rejects_unbalanced_vector(prism, prism_one_connector_face):
 
 def test_lift_rejects_uncontractible_node(k6):
     face = perfect_matching_face(k6)
-    fam = LaminarFamily(6, singletons(6).sets + (f({1, 2, 3, 4, 5}),))
+    fam = LaminarFamily(6, singletons(6).masks + (v({1, 2, 3, 4, 5}),))
     h = contract_face(face, fam, 5, k6)
     z = [0] * 15
     # Edges (1,6) and (2,6) are ids 5 and 9 in K6's lexicographic order.
@@ -516,17 +559,17 @@ def test_goodness_detects_non_maximal_family(c4):
     report = goodness_check(face, singletons(4), 1, c4)
     assert not report.ok
     assert report.failed == "maximality"
-    assert report.witness == f({1, 2, 3})
+    assert report.witness == v({1, 2, 3})
 
 
 def test_goodness_detects_uncontractible_member(k6):
     face = perfect_matching_face(k6)
     fam = extend_to_maximal_laminar(singletons(6), tight_odd_sets(face, k6))
-    assert f({1, 2, 3, 4, 5}) in fam.sets
+    assert v({1, 2, 3, 4, 5}) in fam.masks
     report = goodness_check(face, fam, 5, k6)
     assert not report.ok
     assert report.failed == "contractibility"
-    assert report.witness == f({1, 2, 3, 4, 5})
+    assert report.witness == v({1, 2, 3, 4, 5})
 
 
 def test_goodness_singleton_face_at_full_threshold(c4):
@@ -554,7 +597,7 @@ def test_subface_monotonicity_properties(prism):
     for seed in range(6):
         sub = min_weight_subface(face, random_weights(prism, seed))
         assert set(tight_odd_sets(face, prism)) <= set(tight_odd_sets(sub, prism))
-        assert face_support(sub) <= face_support(face)
+        assert sub.support_mask & face.support_mask == sub.support_mask
 
 
 def test_contractibility_stable_under_subfaces_and_nesting(c6):
@@ -568,5 +611,5 @@ def test_contractibility_stable_under_subfaces_and_nesting(c6):
                 assert is_contractible(sub, s, c6)
         for s in tights:
             for t in tights:
-                if s < t and is_contractible(face, t, c6):
+                if s & t == s != t and is_contractible(face, t, c6):
                     assert is_contractible(face, s, c6)

@@ -22,15 +22,14 @@ from matchiso.faces import (
     bounded_circuit_vectors,
     contract_face,
     contractible_mask,
-    extend_masks,
+    extend_to_maximal_laminar,
     is_contractible,
     lift_contracted_vector,
     min_weight_subface,
     perfect_matching_face,
     singletons,
-    tight_masks,
+    tight_odd_sets,
 )
-from matchiso.graphs import bit_positions
 from matchiso.weights import WeightFunction
 
 import reference_forcing as ref
@@ -53,20 +52,16 @@ def nested_pairs(fam):
     return [(lo, hi) for hi in fam.masks for lo in fam.masks if lo & hi == lo != hi]
 
 
-def as_set(mask):
-    return frozenset(bit_positions(mask))
-
-
 @pytest.mark.parametrize("n,seed", CASES)
 def test_contractibility_matches_scan(n, seed):
     g, faces = faces_of(n, seed)
     for face in faces:
-        tight = tight_masks(face, g)
+        tight = tight_odd_sets(face, g)
         for s in tight:
             assert contractible_mask(face, s, g) == ref.contractible(face, g, s)
-        fam = extend_masks(singletons(n), tight)
+        fam = extend_to_maximal_laminar(singletons(n), tight)
         for lo, hi in nested_pairs(fam):
-            layer = ChainLayer((as_set(lo), as_set(hi)), 2, 2)
+            layer = ChainLayer((lo, hi), 2, 2)
             assert is_contractible(face, layer, g) == ref.contractible(face, g, hi, lo)
 
 
@@ -74,7 +69,7 @@ def test_contractibility_matches_scan(n, seed):
 def test_layer_obligations_match_scan(n, seed):
     g, faces = faces_of(n, seed)
     for face in faces:
-        fam = extend_masks(singletons(n), tight_masks(face, g))
+        fam = extend_to_maximal_laminar(singletons(n), tight_odd_sets(face, g))
         for hi in fam.masks:
             assert _layer_difference_vectors(face, (hi,), 1, 1, g) == ref.layer_difference_vectors(
                 face, (hi,), 1, 1, g
@@ -113,7 +108,7 @@ def test_lifted_vectors_match_scan():
     for n, seed in CASES:
         g, faces = faces_of(n, seed)
         for face in faces:
-            fam = extend_masks(singletons(n), tight_masks(face, g))
+            fam = extend_to_maximal_laminar(singletons(n), tight_odd_sets(face, g))
             for threshold in sorted({s.bit_count() for s in fam.masks}):
                 counts.append(compare_lifts(face, fam, threshold, min(2 * threshold, 8), g))
         state = initial_state(g)
