@@ -93,13 +93,9 @@ def _weights_payload(w: WeightFunction) -> dict:
     }
 
 
-def _matching_payload(m) -> list[int]:
-    return sorted(m)
-
-
 def _certificate_payload(cert: IsolationCertificate) -> dict:
     return {
-        "matching": _matching_payload(cert.matching),
+        "matching": list(bit_positions(cert.matching)),
         "weight": _weights_payload(cert.weight),
         "trials": cert.trials,
         "audit": [
@@ -148,7 +144,7 @@ def _cmd_search(args) -> dict:
         raise _Domain("no perfect matching")
     return {
         "status": outcome.status,
-        "matching": _matching_payload(outcome.matching) if outcome.matching else None,
+        "matching": list(bit_positions(outcome.matching)) if outcome.matching is not None else None,
         "matchingWeight": str(outcome.weight) if outcome.weight is not None else None,
         "detBits": outcome.det_bits,
         "targetOrd2": outcome.target_ord2,
@@ -218,7 +214,7 @@ def _cmd_face(args) -> dict:
     tight = tight_odd_sets(face, g)
     fam = extend_to_maximal_laminar(singletons(g.n), tight)
     return {
-        "matchings": [_matching_payload(mm) for mm in face.matchings],
+        "matchings": [list(bit_positions(mm)) for mm in face.matchings],
         "support": list(bit_positions(face.support_mask)),
         "tightSets": [list(bit_positions(s)) for s in tight],
         "laminar": [list(bit_positions(s)) for s in fam.masks],

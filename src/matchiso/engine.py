@@ -84,7 +84,7 @@ class FaceLaminarState:
 @dataclass(frozen=True)
 class IsolationCertificate:
     weight: WeightFunction
-    matching: frozenset[int]
+    matching: int  # edge mask
     audit: tuple[PhaseRecord, ...]
     trials: int | None = None
 

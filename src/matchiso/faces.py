@@ -12,9 +12,10 @@ Conventions: every vertex set (tight sets, laminar members, chains,
 contraction nodes, witnesses) is an int mask with bit v - 1 for vertex v,
 so set algebra and the crossing test are a few integer operations; the
 public functions that take a mask from their caller check that it names a
-nonempty set of the graph's vertices.  Edge vectors are integer tuples of
-length m indexed by edge id - 1, and circuit vectors are canonicalized so
-their first nonzero coordinate is positive.
+nonempty set of the graph's vertices.  A matching is an int edge mask, bit
+j - 1 for edge j.  Edge vectors are integer tuples of length m indexed by
+edge id - 1, and circuit vectors are canonicalized so their first nonzero
+coordinate is positive.
 """
 
 from __future__ import annotations
@@ -41,14 +42,17 @@ from .weights import WeightFunction
 
 @dataclass(frozen=True)
 class Face:
-    """Nonempty, deduplicated, deterministically ordered matching set."""
+    """Nonempty, deduplicated edge masks of one size, in lexicographic
+    order of their sorted edge ids."""
 
-    matchings: tuple[frozenset[int], ...]
+    matchings: tuple[int, ...]
 
     def __post_init__(self):
         if not self.matchings:
             raise ValueError("a face is nonempty")
-        canon = tuple(sorted(set(self.matchings), key=sorted))
+        canon = tuple(_set_sorted(set(self.matchings)))
+        if canon[0].bit_count() != canon[-1].bit_count():
+            raise ValueError("the matchings of a face must all have one size")
         if canon != self.matchings:
             object.__setattr__(self, "matchings", canon)
 
@@ -56,13 +60,9 @@ class Face:
         return len(self.matchings)
 
     @cached_property
-    def matching_masks(self) -> tuple[int, ...]:
-        return tuple(edge_mask(mm) for mm in self.matchings)
-
-    @cached_property
     def support_mask(self) -> int:
         acc = 0
-        for mask in self.matching_masks:
+        for mask in self.matchings:
             acc |= mask
         return acc
 
@@ -72,7 +72,7 @@ class Face:
         all fields the same whole number of bytes; repunit has a 1 at the
         bottom of every field, so (x & field) * repunit copies an edge mask
         x into every field."""
-        masks = self.matching_masks
+        masks = self.matchings
         size = (max(masks).bit_length() + 7) // 8 or 1
         packed = int.from_bytes(b"".join(mm.to_bytes(size, "little") for mm in masks), "little")
         repunit = int.from_bytes((b"\x01" + bytes(size - 1)) * len(masks), "little")
@@ -99,17 +99,12 @@ def perfect_matching_face(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> F
 
 def min_weight_subface(face: Face, w: WeightFunction) -> Face:
     """Subface of the matchings attaining minimum total weight under w; the
-    face itself, with what is memoized on it, when they all do.  A cutting
-    subface takes its edge masks from the face: the filter keeps order."""
+    face itself, with what is memoized on it, when they all do."""
     totals = [w.matching_weight(mm) for mm in face.matchings]
     best = min(totals)
     if totals.count(best) == len(totals):
         return face
-    keep = [i for i, t in enumerate(totals) if t == best]
-    sub = Face(tuple(face.matchings[i] for i in keep))
-    masks = face.matching_masks
-    sub.__dict__["matching_masks"] = tuple(masks[i] for i in keep)
-    return sub
+    return Face(tuple(mm for mm, t in zip(face.matchings, totals) if t == best))
 
 
 def _check_vertex_mask(s: int, n: int) -> None:
@@ -120,9 +115,9 @@ def _check_vertex_mask(s: int, n: int) -> None:
 
 
 def _set_sorted(masks: Iterable[int]) -> list[int]:
-    """Distinct vertex masks by size, then by ascending vertex list.  Of
-    two sets of one size, the one holding the lowest vertex where they
-    differ comes first: its bit string, read from bit 0, is the larger."""
+    """Distinct masks by size, then by ascending list of bit positions.  Of
+    two sets of one size, the one holding the lowest bit where they differ
+    comes first: its bit string, read from bit 0, is the larger."""
     out = sorted(masks, key=lambda s: format(s, "b")[::-1], reverse=True)
     out.sort(key=int.bit_count)
     return out
@@ -139,7 +134,7 @@ def _tight_odd_masks(face: Face, g: Graph) -> tuple[int, ...]:
     the others take the test of is_tight."""
     n, k = g.n, len(face)
     field, repunit, packed = face.side_by_side
-    inc, first = g.incidence_masks, face.matching_masks[0]
+    inc, first = g.incidence_masks, face.matchings[0]
     full = (1 << n) - 1
     s, cut, out = 1, inc[0], []
     for i in range(0, 1 << (n - 1), 2):
@@ -350,7 +345,7 @@ def forcing_groups(face: Face, g: Graph, hi: int, lo: int = 0) -> dict[int, tupl
     groups = face.forcing_memo.get((boundary, interior))
     if groups is None:
         acc: dict[int, set[int]] = {}
-        for mm in face.matching_masks:
+        for mm in face.matchings:
             acc.setdefault(mm & boundary, set()).add(mm & interior)
         groups = {key: tuple(sorted(inners)) for key, inners in acc.items()}
         face.forcing_memo[boundary, interior] = groups
@@ -407,8 +402,8 @@ class ContractionMultigraph:
         return tuple(s.bit_count() for s in self.nodes)
 
     @cached_property
-    def edge_id_set(self) -> frozenset[int]:
-        return frozenset(e for _, _, e in self.edges)
+    def edge_mask(self) -> int:
+        return edge_mask(e for _, _, e in self.edges)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -548,7 +543,7 @@ def lift_contracted_vector(
     if len(z) != g.m:
         raise ValueError(f"vector length {len(z)} does not match edge count {g.m}")
     zmask = edge_mask(j for j, c in enumerate(z, start=1) if c)
-    outside = bit_positions(zmask & ~edge_mask(h.edge_id_set))
+    outside = bit_positions(zmask & ~h.edge_mask)
     if outside:
         raise ValueError(f"vector touches edge {outside[0]} outside the contraction")
     if zmask & ~face.support_mask:

@@ -105,6 +105,8 @@ class Graph:
         XOR of incidence masks counts endpoint parity, which is 1 exactly
         for the crossing edges.
         """
+        if vertex_mask < 0:
+            raise ValueError(f"negative vertex mask {vertex_mask}")
         acc = 0
         vm = vertex_mask
         while vm:
@@ -133,6 +135,8 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 def bit_positions(mask: int) -> tuple[int, ...]:
     """1-based positions of the set bits, ascending: the vertices of a
     vertex mask, or the edge ids of an edge mask."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -204,23 +208,21 @@ def parse_graph(text: str) -> Graph:
     return graph_from_edges(n, pairs)
 
 
-def is_perfect_matching(g: Graph, edge_ids: Iterable[int]) -> bool:
-    covered = 0
-    for j in edge_ids:
-        if not (1 <= j <= g.m):
-            raise ValueError(f"edge id {j} out of range 1..{g.m}")
-        em = g.endpoint_masks[j - 1]
-        if covered & em:
-            return False
-        covered |= em
-    return covered == (1 << g.n) - 1
+def is_perfect_matching(g: Graph, mask: int) -> bool:
+    """Whether an edge mask meets every vertex's edges exactly once;
+    ValueError when it is not a set of the edges 1..m."""
+    if not 0 <= mask < 1 << g.m:
+        raise ValueError(f"edge mask {mask} is not a set of edges 1..{g.m}")
+    return all((star & mask).bit_count() == 1 for star in g.incidence_masks)
 
 
 def enumerate_perfect_matchings(
     g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD
-) -> tuple[frozenset[int], ...]:
-    """All perfect matchings as frozensets of edge ids, deterministically
-    ordered (lexicographic on sorted edge-id tuples).  Empty iff none exist.
+) -> tuple[int, ...]:
+    """All perfect matchings as edge masks, in lexicographic order of their
+    sorted edge ids.  Empty iff none exist.  The walk covers the lowest free
+    vertex by ascending edge ids, so the ids of each matching come in
+    ascending order and the walk emits the matchings in that order.
     """
     if g.n > max_vertices:
         raise SizeGuardExceeded(f"n={g.n} exceeds oracle guard {max_vertices}")
@@ -230,30 +232,28 @@ def enumerate_perfect_matchings(
     by_vertex: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for j, em in enumerate(g.endpoint_masks):
         u, v = g.edges[j]
-        by_vertex[u - 1].append((j + 1, em))
-    out: list[tuple[int, ...]] = []
+        by_vertex[u - 1].append((1 << j, em))
+    out: list[int] = []
 
-    def walk(covered: int, chosen: list[int]):
+    def walk(covered: int, chosen: int):
         if covered == full:
-            out.append(tuple(chosen))
+            out.append(chosen)
             return
         low = (~covered & full) & -(~covered & full)
         v_idx = low.bit_length() - 1
-        for j, em in by_vertex[v_idx]:
+        for bit, em in by_vertex[v_idx]:
             if covered & em:
                 continue
-            chosen.append(j)
-            walk(covered | em, chosen)
-            chosen.pop()
+            walk(covered | em, chosen | bit)
 
-    walk(0, [])
-    return tuple(frozenset(t) for t in sorted(out))
+    walk(0, 0)
+    return tuple(out)
 
 
-def min_weight_perfect_matching(g: Graph, values: Sequence[int]) -> frozenset[int] | None:
+def min_weight_perfect_matching(g: Graph, values: Sequence[int]) -> int | None:
     """A minimum-weight perfect matching under the integer edge weights
-    ``values`` (``values[j - 1]`` weighs edge j), as edge ids; None iff the
-    graph has no perfect matching.  Polynomial and unguarded.
+    ``values`` (``values[j - 1]`` weighs edge j), as an edge mask; None iff
+    the graph has no perfect matching.  Polynomial and unguarded.
 
     Among maximum-cardinality matchings the blossom algorithm maximizes the
     total of ``ceiling - w``; when a perfect matching exists every maximum
@@ -269,7 +269,7 @@ def min_weight_perfect_matching(g: Graph, values: Sequence[int]) -> frozenset[in
     )
     if -1 in mate:
         return None
-    return frozenset(g.edge_id(v + 1, mate[v] + 1) for v in range(g.n) if v < mate[v])
+    return edge_mask(g.edge_id(v + 1, mate[v] + 1) for v in range(g.n) if v < mate[v])
 
 
 def _max_weight_matching(n: int, edges: list[tuple[int, int, int]]) -> list[int]:

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import EngineError, Graph, is_perfect_matching, min_weight_perfect_matching
+from .graphs import EngineError, Graph, bit_positions, is_perfect_matching, min_weight_perfect_matching
 from .weights import WeightFunction
 
 STATUS_MATCHED = "matched"
@@ -257,10 +257,11 @@ class SearchOutcome:
     status is one of "matched", "no-perfect-matching", "isolation-failure".
     The last is a data outcome, not an error: it reports that the supplied
     weights did not isolate a unique minimum-weight perfect matching.
+    ``matching`` is the matched edge mask, None unless matched.
     """
 
     status: str
-    matching: frozenset[int] | None
+    matching: int | None
     weight: int | None
     det_bits: int
     target_ord2: int | None
@@ -349,15 +350,14 @@ def determinant_search(g: Graph, w: WeightFunction) -> SearchOutcome:
     if target % 2:
         raise EngineError(f"skew-symmetric determinant has odd 2-adic valuation {target}")
     verdicts = []
-    selected = []
+    candidate = 0
     for edge_id, ((u, v), x) in enumerate(zip(g.edges, w.values), start=1):
         s = d - (adj[v - 1][u - 1] << x)
         ord2 = None if s == 0 else 2 * _ord2(s) - target
         hit = ord2 is None or ord2 > target
         verdicts.append(EdgeVerdict(edge_id, s == 0, ord2, hit))
         if hit:
-            selected.append(edge_id)
-    candidate = frozenset(selected)
+            candidate |= 1 << (edge_id - 1)
     det_bits = abs(d).bit_length()
 
     def failure(reason: str) -> SearchOutcome:
@@ -371,11 +371,12 @@ def determinant_search(g: Graph, w: WeightFunction) -> SearchOutcome:
     if 2 * weight != target:
         return failure(f"matching weight {weight} inconsistent with digit position {target}")
     scale = g.n // 2 + 1
-    shifted = [scale * x + int(j in candidate) for j, x in enumerate(w.values, start=1)]
+    shifted = [scale * x + (candidate >> j & 1) for j, x in enumerate(w.values)]
     best = min_weight_perfect_matching(g, shifted)
     if best is None:
         raise EngineError("blossom algorithm lost the candidate's perfect matching")
-    gap = sum(shifted[j - 1] for j in candidate) - sum(shifted[j - 1] for j in best)
+    gap = sum(shifted[j - 1] for j in bit_positions(candidate))
+    gap -= sum(shifted[j - 1] for j in bit_positions(best))
     if gap < 0:
         raise EngineError("blossom algorithm returned a non-minimum perfect matching")
     if gap > 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import DEFAULT_SIZE_GUARD, Graph, enumerate_perfect_matchings
 
@@ -38,8 +38,14 @@ class WeightFunction:
     def m(self) -> int:
         return len(self.values)
 
-    def matching_weight(self, edge_ids: Iterable[int]) -> int:
-        return sum(self.values[j - 1] for j in edge_ids)
+    def matching_weight(self, mask: int) -> int:
+        """Total weight of the edges in an edge mask."""
+        total, values = 0, self.values
+        while mask:
+            low = mask & -mask
+            total += values[low.bit_length() - 1]
+            mask ^= low
+        return total
 
 
 def family_base(n: int) -> int:

@@ -12,7 +12,7 @@ def forced_interiors(face, boundary: int, interior: int) -> bool:
     """True iff the matchings through each edge of a tight set's boundary
     agree inside; each matching has exactly one boundary edge to group by."""
     seen = {}
-    for mm in face.matching_masks:
+    for mm in face.matchings:
         inner = mm & interior
         if seen.setdefault(mm & boundary, inner) != inner:
             return False
@@ -27,7 +27,7 @@ def contractible(face, g, hi: int, lo: int = 0) -> bool:
 def forced_interior(face, g, node: int, eid: int) -> int:
     """The interior of node in every matching of the face through edge eid."""
     bit, interior, inner = 1 << (eid - 1), g.interior_mask(node), None
-    for mm in face.matching_masks:
+    for mm in face.matchings:
         if mm & bit:
             part = mm & interior
             if inner is None:
@@ -74,7 +74,7 @@ def layer_difference_vectors(face, chain, p: int, r: int, g) -> set[tuple[int, .
         bit_lo = 0 if e_lo is None else 1 << (e_lo - 1)
         for e_hi in bit_positions(g.delta_mask(hi)):
             need = bit_lo | 1 << (e_hi - 1)
-            interiors = {mm & interior for mm in face.matching_masks if mm & need == need}
+            interiors = {mm & interior for mm in face.matchings if mm & need == need}
             for a, b in combinations(sorted(interiors), 2):
                 vec = [0] * g.m
                 for j in bit_positions(a & ~b):

@@ -9,7 +9,7 @@ one.
 """
 
 from matchiso import Graph, WeightFunction, build_tutte_matrix, determinant
-from matchiso.graphs import is_perfect_matching
+from matchiso.graphs import edge_mask, is_perfect_matching
 from matchiso.tutte import (
     STATUS_MATCHED,
     STATUS_NO_PM,
@@ -34,7 +34,7 @@ def per_edge_search(g: Graph, w: WeightFunction) -> SearchOutcome:
         verdicts.append(EdgeVerdict(edge_id, res.value == 0, res.ord2, hit))
         if hit:
             selected.append(edge_id)
-    candidate = frozenset(selected)
+    candidate = edge_mask(selected)
     det_bits = full.value.bit_length()
     if not is_perfect_matching(g, candidate) or 2 * w.matching_weight(candidate) != target:
         return SearchOutcome(STATUS_NOT_ISOLATING, None, None, det_bits, target, tuple(verdicts))

@@ -41,7 +41,7 @@ from matchiso.faces import (
     is_contractible,
     singletons,
 )
-from matchiso.graphs import bit_positions, crossing
+from matchiso.graphs import bit_positions, crossing, edge_mask
 from matchiso.smallgraphs import connected_graphs
 from matchiso.tutte import STATUS_MATCHED, STATUS_NO_PM, STATUS_NOT_ISOLATING, is_prime
 
@@ -387,8 +387,8 @@ def test_criterion_10_derandomized_isolation(corpus8_with_pm):
         assert len(cert.audit) <= (rounds + 1) * rounds
         assert is_isolating(g, cert.weight)
         pms = enumerate_perfect_matchings(g)
-        best = min((cert.weight.matching_weight(mm), sorted(mm)) for mm in pms)
-        assert frozenset(best[1]) == cert.matching
+        best = min((cert.weight.matching_weight(mm), bit_positions(mm)) for mm in pms)
+        assert edge_mask(best[1]) == cert.matching
     announce(10, time.perf_counter() - started,
              f"{len(corpus8_with_pm)} graphs isolated with verified certificates")
 

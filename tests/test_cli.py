@@ -382,6 +382,25 @@ def test_face_and_goodness_reports_match_golden(capsys, tmp_path, case):
     assert json.dumps(report, separators=(",", ":")) == case["report"]
 
 
+SEARCH_GOLDEN = [json.loads(line) for line in (DATA / "search_golden.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("case", SEARCH_GOLDEN, ids=[case["name"] for case in SEARCH_GOLDEN])
+def test_search_and_randomized_reports_match_golden(capsys, tmp_path, case):
+    """Reports recorded while matchings were frozensets of edge ids:
+    search --random-weights and isolate --randomized on sixteen seeded
+    planted graphs with n = 8, 12, 16 and 20 and on the two search_seed
+    graphs, whose search reports an isolation failure."""
+    path = tmp_path / "graph.txt"
+    path.write_text(case["graph"])
+    verb, *rest = case["args"]
+    code, out, _ = run(capsys, verb, "--graph", str(path), *rest)
+    assert code == 0
+    report = payload(out)
+    del report["ms"]
+    assert json.dumps(report, separators=(",", ":")) == case["report"]
+
+
 def test_pretty_flag(capsys, c4_file):
     code, out, _ = run(capsys, "--pretty", "face", "--graph", c4_file)
     assert code == 0
@@ -498,3 +517,17 @@ def test_readme_names_the_cli_verbs():
     for row in rows:
         verbs = re.findall(r"`([a-z]+)", row.split("|")[1])
         assert verbs and set(verbs) <= set(_DISPATCH), row
+
+
+def test_library_has_one_set_type():
+    """Vertex sets and matchings are int masks throughout the library: no
+    module of src/matchiso names frozenset."""
+    import ast
+
+    src = Path(__file__).resolve().parent.parent / "src" / "matchiso"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "frozenset"]
+        assert not lines, f"{path.name} names frozenset on lines {lines}"

@@ -24,12 +24,12 @@ from matchiso import (
 )
 from matchiso.engine import ceil_log2, chain_phase_spans, compose_log, PhaseRecord
 from matchiso.faces import contract_face, bounded_circuit_vectors
-from matchiso.graphs import vertex_mask
+from matchiso.graphs import bit_positions, edge_mask, vertex_mask
 from matchiso.tutte import STATUS_MATCHED, STATUS_NO_PM
 
 from conftest import random_graph_with_pm
 
-f = frozenset  # a matching: edge ids
+f = edge_mask  # a matching: the mask of its edge ids
 v = vertex_mask  # a vertex set: the mask of its labels
 
 
@@ -280,6 +280,6 @@ def test_random_corpus_smoke():
         cert = isolate_derandomized(g)
         assert is_isolating(g, cert.weight)
         pms = enumerate_perfect_matchings(g)
-        best = min((cert.weight.matching_weight(mm), sorted(mm)) for mm in pms)
+        best = min((cert.weight.matching_weight(mm), bit_positions(mm)) for mm in pms)
         assert f(best[1]) == cert.matching
         done += 1

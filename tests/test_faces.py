@@ -37,7 +37,7 @@ from matchiso.weights import random_weights
 
 from conftest import random_graph_with_pm
 
-f = frozenset  # a matching: edge ids
+f = edge_mask  # a matching: the mask of its edge ids
 v = vertex_mask  # a vertex set: the mask of its labels
 
 
@@ -51,7 +51,7 @@ def tight_sets_oracle(face, g):
             ok = True
             for mm in face.matchings:
                 crossing = sum(
-                    1 for j in mm if len(ss & set(g.endpoints(j))) == 1
+                    1 for j in bit_positions(mm) if len(ss & set(g.endpoints(j))) == 1
                 )
                 if crossing != 1:
                     ok = False
@@ -76,6 +76,19 @@ def test_face_canonicalization_and_nonempty():
     assert face.matchings == (f({1, 4}), f({2, 3}))
     with pytest.raises(ValueError):
         Face(())
+
+
+def test_face_orders_masks_lexicographically_on_edge_ids(k6):
+    rng = random.Random(5)
+    masks = list(enumerate_perfect_matchings(k6))
+    shuffled = masks + rng.sample(masks, 7)
+    rng.shuffle(shuffled)
+    assert Face(tuple(shuffled)).matchings == tuple(sorted(set(shuffled), key=bit_positions))
+
+
+def test_face_rejects_masks_of_unequal_size():
+    with pytest.raises(ValueError):
+        Face((f({1, 4}), f({2})))
 
 
 def test_perfect_matching_face(c4, triangle):
@@ -118,9 +131,9 @@ def test_cutting_minimization_returns_a_new_face(prism):
 
 
 def test_cutting_subface_takes_the_parent_masks():
-    """A cutting subface is handed its parent's edge masks, filtered; they
-    equal the masks of its own matchings.  Draws as in criterion 8, with
-    chains of minimizations under random weights and small family members."""
+    """A subface holds its parent's edge masks that attain the minimum, in
+    the parent's order.  Draws as in criterion 8, with chains of
+    minimizations under random weights and small family members."""
     rng = random.Random(808)
     cutting = 0
     for _ in range(200):
@@ -135,8 +148,9 @@ def test_cutting_subface_takes_the_parent_masks():
             sub = min_weight_subface(face, w)
             if sub is not face:
                 cutting += 1
-                assert "matching_masks" in vars(sub)  # handed over, not rebuilt
-            assert sub.matching_masks == tuple(edge_mask(mm) for mm in sub.matchings)
+            totals = [w.matching_weight(mm) for mm in face.matchings]
+            best = min(totals)
+            assert sub.matchings == tuple(mm for mm, t in zip(face.matchings, totals) if t == best)
             face = sub
     assert cutting >= 100
 
@@ -364,9 +378,9 @@ def layer_oracle(face, g, chain, p, r):
     for e_lo in lo_cut:
         for e_hi in hi_cut:
             inners = {
-                f(mm) & f(interior)
+                frozenset(bit_positions(mm)) & frozenset(interior)
                 for mm in face.matchings
-                if e_lo in mm and e_hi in mm
+                if e_lo in bit_positions(mm) and e_hi in bit_positions(mm)
             }
             if len(inners) > 1:
                 return False

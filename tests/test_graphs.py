@@ -16,9 +16,11 @@ from matchiso import (
     parse_graph,
 )
 
-from matchiso.graphs import bit_positions, crossing, vertex_mask
+from matchiso.graphs import bit_positions, crossing, edge_mask, vertex_mask
+from matchiso.smallgraphs import connected_graphs
 
 from conftest import random_graph
+from reference_matchings import enumerate_perfect_matchings as frozenset_matchings
 
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n4 1\n"
 
@@ -118,14 +120,14 @@ def test_cut_size_identity(n, data):
 
 
 def test_enumerate_perfect_matchings_c4(c4):
-    assert enumerate_perfect_matchings(c4) == (frozenset({1, 4}), frozenset({2, 3}))
+    assert enumerate_perfect_matchings(c4) == (edge_mask({1, 4}), edge_mask({2, 3}))
 
 
 def test_enumerate_perfect_matchings_k4(k4):
     pms = enumerate_perfect_matchings(k4)
     assert len(pms) == 3
     # K4 ids: (1,2)=1 (1,3)=2 (1,4)=3 (2,3)=4 (2,4)=5 (3,4)=6.
-    assert set(pms) == {frozenset({1, 6}), frozenset({2, 5}), frozenset({3, 4})}
+    assert set(pms) == {edge_mask({1, 6}), edge_mask({2, 5}), edge_mask({3, 4})}
 
 
 def test_enumerate_perfect_matchings_odd(triangle):
@@ -141,11 +143,37 @@ def test_size_guard():
 
 
 def test_is_perfect_matching_c4(c4):
-    assert is_perfect_matching(c4, {1, 4})
-    assert not is_perfect_matching(c4, {1, 3})  # share vertex 2
-    assert not is_perfect_matching(c4, {1})  # leaves 3, 4 uncovered
+    assert is_perfect_matching(c4, edge_mask({1, 4}))
+    assert not is_perfect_matching(c4, edge_mask({1, 3}))  # share vertex 2
+    assert not is_perfect_matching(c4, edge_mask({1}))  # leaves 3, 4 uncovered
     with pytest.raises(ValueError):
-        is_perfect_matching(c4, {9})
+        is_perfect_matching(c4, edge_mask({9}))
+
+
+@pytest.mark.parametrize("mask", [-1, -8, 1 << 4])  # C4 has 4 edges
+def test_is_perfect_matching_rejects_masks_outside_the_edges(c4, mask):
+    with pytest.raises(ValueError):
+        is_perfect_matching(c4, mask)
+
+
+@pytest.mark.parametrize("mask", [-1, -8])
+def test_bit_helpers_reject_negative_masks(c4, mask):
+    """A negative int has infinitely many set bits: each helper raises
+    rather than loop."""
+    for helper in (bit_positions, c4.delta_mask, c4.interior_mask):
+        with pytest.raises(ValueError):
+            helper(mask)
+
+
+def test_enumeration_matches_the_frozenset_oracle():
+    """Same matchings in the same order as the frozenset enumerator, on
+    every connected graph up to 6 vertices with a perfect matching and on
+    50 seeded random graphs up to 12 vertices."""
+    rng = random.Random(12)
+    corpus = [g for g in connected_graphs(6) if frozenset_matchings(g)]
+    draws = [random_graph(rng.randint(2, 12), rng.uniform(0.3, 0.9), rng) for _ in range(50)]
+    for g in corpus + draws:
+        assert enumerate_perfect_matchings(g) == tuple(edge_mask(mm) for mm in frozenset_matchings(g))
 
 
 @given(st.integers(2, 9), st.data())
@@ -190,8 +218,8 @@ def test_seeded_random_graph_roundtrip():
 
 
 def test_min_weight_perfect_matching_small_cases(c4, k4, triangle, star):
-    assert min_weight_perfect_matching(c4, (1, 1, 1, 2)) == frozenset({2, 3})
-    assert min_weight_perfect_matching(k4, (5, 5, 1, 1, 5, 5)) == frozenset({3, 4})
+    assert min_weight_perfect_matching(c4, (1, 1, 1, 2)) == edge_mask({2, 3})
+    assert min_weight_perfect_matching(k4, (5, 5, 1, 1, 5, 5)) == edge_mask({3, 4})
     assert min_weight_perfect_matching(triangle, (1, 1, 1)) is None
     assert min_weight_perfect_matching(star, (1, 1, 1)) is None
     assert min_weight_perfect_matching(graph_from_edges(4, []), ()) is None
@@ -212,5 +240,5 @@ def test_min_weight_perfect_matching_seeded_sweep():
         if not pms:
             assert got is None
             continue
-        best = min(sum(values[j - 1] for j in mm) for mm in pms)
-        assert is_perfect_matching(g, got) and sum(values[j - 1] for j in got) == best
+        best = min(sum(values[j - 1] for j in bit_positions(mm)) for mm in pms)
+        assert is_perfect_matching(g, got) and sum(values[j - 1] for j in bit_positions(got)) == best

@@ -15,6 +15,7 @@ from matchiso import (
     enumerate_perfect_matchings,
     graph_from_edges,
 )
+from matchiso.graphs import edge_mask
 from matchiso.tutte import (
     MR_BOUND,
     STATUS_MATCHED,
@@ -181,7 +182,7 @@ def test_decide_random_refuses_moduli_outside_the_primality_bound(c4):
 def test_search_isolating_c4(c4):
     out = determinant_search(c4, WeightFunction(4, (1, 1, 1, 2)))
     assert out.status == STATUS_MATCHED
-    assert out.matching == frozenset({2, 3}) and out.weight == 2
+    assert out.matching == edge_mask({2, 3}) and out.weight == 2
     assert out.target_ord2 == 4
     by_edge = {v.edge: v for v in out.verdicts}
     # Removing a matching edge leaves only the weight-3 matching: ord2 6.
@@ -201,7 +202,7 @@ def test_search_unique_pm_path(p4):
     for values in [(1, 1, 1), (5, 2, 9), (1, 7, 1)]:
         out = determinant_search(p4, WeightFunction(4, values))
         assert out.status == STATUS_MATCHED
-        assert out.matching == frozenset({1, 3})
+        assert out.matching == edge_mask({1, 3})
 
 
 def test_search_no_pm(triangle):

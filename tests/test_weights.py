@@ -14,6 +14,7 @@ from matchiso import (
     random_weights,
     separating_weights,
 )
+from matchiso.graphs import edge_mask
 
 
 def test_family_member_frozen_values():
@@ -73,8 +74,8 @@ def test_concat_realizes_lexicographic_order(data):
     padding = (n // 2) * max(w2.values) + 1 if any(w2.values) else 1
     combined = concatenate(w, w2, padding)
     size = n // 2
-    m1 = data.draw(st.lists(st.integers(1, m), min_size=size, max_size=size))
-    m2 = data.draw(st.lists(st.integers(1, m), min_size=size, max_size=size))
+    m1 = edge_mask(data.draw(st.lists(st.integers(1, m), min_size=size, max_size=size)))
+    m2 = edge_mask(data.draw(st.lists(st.integers(1, m), min_size=size, max_size=size)))
     key1 = (w.matching_weight(m1), w2.matching_weight(m1))
     key2 = (w.matching_weight(m2), w2.matching_weight(m2))
     c1, c2 = combined.matching_weight(m1), combined.matching_weight(m2)
