@@ -35,7 +35,6 @@ from .tutte import (
     determinant_search,
 )
 from .faces import (
-    ChainLayer,
     ContractionMultigraph,
     Face,
     GoodnessReport,

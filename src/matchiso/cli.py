@@ -165,11 +165,9 @@ def _cmd_isolate(args) -> dict:
     g = _load_graph(args.graph)
     if args.derandomized:
         cert = isolate_derandomized(g)
-        return _certificate_payload(cert)
-    result = isolate_randomized(g, args.seed, args.max_trials)
-    if not isinstance(result, IsolationCertificate):
-        raise _Domain("no perfect matching")
-    return _certificate_payload(result)
+    else:
+        cert = isolate_randomized(g, args.seed, args.max_trials)
+    return _certificate_payload(cert)
 
 
 def _cmd_weights(args) -> dict:
@@ -211,7 +209,7 @@ def _face_from_args(args, g: Graph):
 def _cmd_face(args) -> dict:
     g = _load_graph(args.graph)
     face = _face_from_args(args, g)
-    tight = tight_odd_sets(face, g)
+    tight = tight_odd_sets(face)
     fam = extend_to_maximal_laminar(singletons(g.n), tight)
     return {
         "matchings": [list(bit_positions(mm)) for mm in face.matchings],
@@ -224,8 +222,8 @@ def _cmd_face(args) -> dict:
 def _cmd_goodness(args) -> dict:
     g = _load_graph(args.graph)
     face = _face_from_args(args, g)
-    fam = extend_to_maximal_laminar(singletons(g.n), tight_odd_sets(face, g))
-    report = goodness_check(face, fam, getattr(args, "lambda"), g)
+    fam = extend_to_maximal_laminar(singletons(g.n), tight_odd_sets(face))
+    report = goodness_check(face, fam, getattr(args, "lambda"))
     witness = report.witness
     if isinstance(witness, int):  # a vertex mask; a circuit witness is a vector
         witness = list(bit_positions(witness))
@@ -306,9 +304,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     seed = getattr(args, "seed", None)
-    if args.verb == "decide" and seed is None:
-        print("error: --seed is required", file=sys.stderr)
-        return EXIT_PARSE
     if args.verb == "search" and args.random_weights and seed is None:
         print("error: --seed is required with --random-weights", file=sys.stderr)
         return EXIT_PARSE

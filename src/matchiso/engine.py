@@ -41,19 +41,19 @@ from .faces import (
     LaminarFamily,
     bounded_circuit_vectors,
     canonical_sign,
-    contractible_mask,
+    contract_face,
     extend_to_maximal_laminar,
     forcing_groups,
     goodness_check,
+    is_contractible,
     lift_contracted_vector,
     min_weight_subface,
     perfect_matching_face,
     respects_face,
     singletons,
-    tight_contraction,
     tight_odd_sets,
 )
-from .tutte import STATUS_MATCHED, STATUS_NO_PM, SearchOutcome, determinant_search
+from .tutte import STATUS_MATCHED, determinant_search
 
 
 class TrialsExhausted(RuntimeError):
@@ -109,7 +109,6 @@ def remove_circuits(
     fam: LaminarFamily,
     bound: int,
     beta: int,
-    g: Graph,
 ) -> tuple[PhaseRecord, Face]:
     """Apply one weight function after which no alternating circuit of
     node-weight <= bound in the beta-contraction respects the new face.
@@ -118,17 +117,16 @@ def remove_circuits(
     the face (the lifting step needs the forced interiors).  The circuit
     vectors are lifted to ambient edge vectors, a separating family member
     is found for them, and the face is minimized; the postcondition is then
-    verified circuit by circuit.  The members must be tight for the face;
-    the callers pass a good state's family with a subface of its face, on
-    which they stay tight, so that is not re-proved here.
+    verified circuit by circuit.  Raises when a member is not tight for
+    the face.
     """
-    h = tight_contraction(face, fam, beta, g)
+    h = contract_face(face, fam, beta)
     circuit_vecs = bounded_circuit_vectors(h, bound)
-    lifted = [lift_contracted_vector(z, face, h, g) for z in circuit_vecs]
-    k, w = _find_member(lifted, g.n, g.m)
+    lifted = [lift_contracted_vector(z, face, h) for z in circuit_vecs]
+    k, w = _find_member(lifted, face.g.n, face.g.m)
     new_face = min_weight_subface(face, w)
     for z in circuit_vecs:
-        if respects_face(z, new_face, g, contraction=h):
+        if respects_face(z, new_face, contraction=h):
             raise EngineError(
                 f"circuit vector {z} still respects the face after removal"
             )
@@ -172,22 +170,16 @@ def _disjoint_chains(group: list[int]) -> list[tuple[int, ...]]:
     return chains
 
 
-def _layer_difference_vectors(
-    face: Face,
-    chain: tuple[int, ...],
-    p: int,
-    r: int,
-    g: Graph,
-) -> set[tuple[int, ...]]:
-    """Obligations that make the layer U_{p..r} contractible: for each
-    boundary pair that the face's matchings use, the differences of the
-    distinct interior matchings that the face still allows.  The chain
-    sets are tight for the face (see make_chains_contractible)."""
-    lo = chain[p - 2] if p >= 2 else 0
+def _layer_difference_vectors(face: Face, hi: int, lo: int = 0) -> set[tuple[int, ...]]:
+    """Obligations that make the layer hi - lo of two nested chain sets
+    (lo = 0: the set hi) contractible: for each boundary pair that the
+    face's matchings use, the differences of the distinct interior
+    matchings that the face still allows."""
+    m = face.g.m
     out: set[tuple[int, ...]] = set()
-    for inners in forcing_groups(face, g, chain[r - 1], lo).values():
+    for inners in forcing_groups(face, hi, lo).values():
         for a, b in combinations(inners, 2):
-            out.add(canonical_sign([(a >> i & 1) - (b >> i & 1) for i in range(g.m)]))
+            out.add(canonical_sign([(a >> i & 1) - (b >> i & 1) for i in range(m)]))
     return out
 
 
@@ -195,7 +187,6 @@ def make_chains_contractible(
     face: Face,
     fam: LaminarFamily,
     threshold: int,
-    g: Graph,
 ) -> tuple[tuple[PhaseRecord, ...], Face]:
     """Make every laminar member of size <= 2*threshold contractible.
 
@@ -207,20 +198,24 @@ def make_chains_contractible(
     obligation vectors.  The final contractibility of every small member is
     verified before returning.
     """
+    g = face.g
     chain_sets = [s for s in fam.masks if threshold < s.bit_count() <= 2 * threshold]
     records: list[PhaseRecord] = []
     cur = face
     if chain_sets:
-        rec, cur = remove_circuits(cur, fam, bound=2 * threshold, beta=threshold, g=g)
+        rec, cur = remove_circuits(cur, fam, bound=2 * threshold, beta=threshold)
         records.append(rec)
         chains = _disjoint_chains(chain_sets)
         longest = max(len(c) for c in chains)
         for t, span in chain_phase_spans(longest, g.n):
             obligations: set[tuple[int, ...]] = set()
             for chain in chains:
-                for p in range(1, len(chain) + 1):
-                    for r in range(p, min(len(chain), p + span) + 1):
-                        obligations |= _layer_difference_vectors(cur, chain, p, r, g)
+                # Layers hi - lo: lo is chain[p - 1] (none for p = 0), hi is
+                # chain[p] or one of the span sets above it.
+                for p in range(len(chain)):
+                    lo = chain[p - 1] if p else 0
+                    for hi in chain[p : p + span + 1]:
+                        obligations |= _layer_difference_vectors(cur, hi, lo)
             if obligations:
                 k, w = _find_member(obligations, g.n, g.m)
                 new_face = min_weight_subface(cur, w)
@@ -234,10 +229,8 @@ def make_chains_contractible(
                     )
                 )
                 cur = new_face
-    # The members are tight on face, as the state is good, so on its
-    # subface cur; contractible_mask does not re-prove it.
     for s in fam.masks:
-        if s.bit_count() <= 2 * threshold and not contractible_mask(cur, s, g):
+        if s.bit_count() <= 2 * threshold and not is_contractible(cur, s):
             raise EngineError(f"set {list(bit_positions(s))} not contractible after chain phases")
     return tuple(records), cur
 
@@ -245,23 +238,23 @@ def make_chains_contractible(
 def initial_state(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> FaceLaminarState:
     """The whole polytope with a maximal laminar family; always 1-good."""
     face = perfect_matching_face(g, max_vertices)
-    fam = extend_to_maximal_laminar(singletons(g.n), tight_odd_sets(face, g))
-    report = goodness_check(face, fam, 1, g)
+    fam = extend_to_maximal_laminar(singletons(g.n), tight_odd_sets(face))
+    report = goodness_check(face, fam, 1)
     if not report.ok:
         raise EngineError(f"initial pair not 1-good: {report}")
     return FaceLaminarState(face, fam, 1)
 
 
-def advance(state: FaceLaminarState, g: Graph) -> FaceLaminarState:
+def advance(state: FaceLaminarState) -> FaceLaminarState:
     """From a threshold-good state to a verified (2*threshold)-good state."""
     th = state.threshold
-    chain_records, f_mid = make_chains_contractible(state.face, state.laminar, th, g)
-    final_record, f_out = remove_circuits(f_mid, state.laminar, bound=2 * th, beta=2 * th, g=g)
+    chain_records, f_mid = make_chains_contractible(state.face, state.laminar, th)
+    final_record, f_out = remove_circuits(f_mid, state.laminar, bound=2 * th, beta=2 * th)
     records = chain_records + (final_record,)
-    if len(records) > ceil_log2(g.n) + 1:
+    if len(records) > ceil_log2(state.face.g.n) + 1:
         raise EngineError("round used more weight functions than its budget")
-    fam_out = extend_to_maximal_laminar(state.laminar, tight_odd_sets(f_out, g))
-    report = goodness_check(f_out, fam_out, 2 * th, g)
+    fam_out = extend_to_maximal_laminar(state.laminar, tight_odd_sets(f_out))
+    report = goodness_check(f_out, fam_out, 2 * th)
     if not report.ok:
         raise EngineError(
             f"advance failed verification at threshold {2 * th}: "
@@ -305,7 +298,7 @@ def isolate_derandomized(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> Is
     state = initial_state(g, max_vertices)
     matchings = state.face.matchings
     while state.threshold < g.n:
-        state = advance(state, g)
+        state = advance(state)
     if len(state.face) != 1:
         raise EngineError("face is not a singleton at threshold >= n")
     matching = state.face.matchings[0]
@@ -325,18 +318,19 @@ def isolate_derandomized(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> Is
     return IsolationCertificate(weight=w, matching=matching, audit=state.weight_log)
 
 
-def isolate_randomized(g: Graph, seed: int, max_trials: int = 64) -> IsolationCertificate | SearchOutcome:
+def isolate_randomized(g: Graph, seed: int, max_trials: int = 64) -> IsolationCertificate:
     """Draw random weights until the determinant search certifies one.
 
     The search's verdict is exact at every size (the blossom algorithm
     confirms that the matching it reads off the digits is the unique
     minimum), so the first trial it reports as matched is the first one
-    whose weights isolate.  Returns the no-perfect-matching search outcome
-    when none exists.  Each failed trial happens with probability at most
-    1/2, so exhausting max_trials has probability at most 2^-max_trials.
+    whose weights isolate.  Raises NoPerfectMatchingError when the graph
+    has no perfect matching.  Each failed trial happens with probability
+    at most 1/2, so exhausting max_trials has probability at most
+    2^-max_trials.
     """
     if min_weight_perfect_matching(g, (0,) * g.m) is None:
-        return SearchOutcome(STATUS_NO_PM, None, None, 0, None, ())
+        raise NoPerfectMatchingError(g)
     rng = random.Random(seed)
     for trial in range(1, max_trials + 1):
         w = random_weights(g, rng.randrange(1 << 63))

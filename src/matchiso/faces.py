@@ -2,19 +2,23 @@
 
 A face is represented extensionally by the set of perfect matchings whose
 hull it is; this is exact because every face of the polytope is integral.
-On top of that sit: support and tight odd sets, maximal laminar families
-and uncrossing, contractible tight sets, the node-weighted contraction
-multigraph, alternating circuits with their signed indicator vectors, the
-respect predicate, and the combined progress check (maximality + small-set
-contractibility + no short circuit in the contraction).
+A face carries its graph, so every operation on it reads the matchings
+against the graph's own edge ids.  On top of that sit: support and tight
+odd sets, maximal laminar families and uncrossing, contractible tight sets,
+the node-weighted contraction multigraph, alternating circuits with their
+signed indicator vectors, the respect predicate, and the combined progress
+check (maximality + small-set contractibility + no short circuit in the
+contraction).
 
 Conventions: every vertex set (tight sets, laminar members, chains,
 contraction nodes, witnesses) is an int mask with bit v - 1 for vertex v,
 so set algebra and the crossing test are a few integer operations; the
 public functions that take a mask from their caller check that it names a
 nonempty set of the graph's vertices.  A matching is an int edge mask, bit
-j - 1 for edge j.  Edge vectors are integer tuples of length m indexed by
-edge id - 1, and circuit vectors are canonicalized so their first nonzero
+j - 1 for edge j.  What a face memoizes (its tight sets, and the forcing
+groups of each set or layer, keyed by the vertex masks (hi, lo)) lives on
+the face.  Edge vectors are integer tuples of length m indexed by edge
+id - 1, and circuit vectors are canonicalized so their first nonzero
 coordinate is positive.
 """
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import (
     DEFAULT_SIZE_GUARD,
@@ -42,17 +46,22 @@ from .weights import WeightFunction
 
 @dataclass(frozen=True)
 class Face:
-    """Nonempty, deduplicated edge masks of one size, in lexicographic
-    order of their sorted edge ids."""
+    """A face of the perfect matching polytope of g: nonempty, deduplicated
+    edge masks of g with n/2 edges each, in lexicographic order of their
+    sorted edge ids."""
 
+    g: Graph
     matchings: tuple[int, ...]
 
     def __post_init__(self):
         if not self.matchings:
             raise ValueError("a face is nonempty")
         canon = tuple(_set_sorted(set(self.matchings)))
-        if canon[0].bit_count() != canon[-1].bit_count():
-            raise ValueError("the matchings of a face must all have one size")
+        n, m = self.g.n, self.g.m
+        if 2 * canon[0].bit_count() != n or 2 * canon[-1].bit_count() != n:
+            raise ValueError(f"every matching of a face has n/2 edges, n = {n}")
+        if min(canon) < 0 or max(canon) >> m:
+            raise ValueError(f"a matching of a face names an edge outside 1..{m}")
         if canon != self.matchings:
             object.__setattr__(self, "matchings", canon)
 
@@ -80,21 +89,41 @@ class Face:
 
     @cached_property
     def forcing_memo(self) -> dict[tuple[int, int], dict[int, tuple[int, ...]]]:
-        """What forcing_groups has found on this face."""
+        """What forcing_groups has found on this face, keyed by (hi, lo)."""
         return {}
 
     @cached_property
-    def tight_memo(self) -> dict[Graph, tuple[int, ...]]:
-        """What tight_odd_sets has found on this face, per graph."""
-        return {}
+    def _tight_masks(self) -> tuple[int, ...]:
+        """The tight odd sets as vertex masks, in (size, lexicographic)
+        order; tight_odd_sets reads them behind its size guard.
+
+        A set and its complement share a cut and n is even, so only the
+        sets containing vertex 1 are visited, in Gray-code order: each step
+        flips one vertex and XORs its incidence mask into the cut (Knuth,
+        TAOCP 7.2.1.1).  Odd steps flip vertex 2 and leave the set even, so
+        the walk takes two at a time.  Most sets already meet the first
+        matching more than once; the others take the test of is_tight."""
+        n, k = self.g.n, len(self)
+        field, repunit, packed = self.side_by_side
+        inc, first = self.g.incidence_masks, self.matchings[0]
+        full = (1 << n) - 1
+        s, cut, out = 1, inc[0], []
+        for i in range(0, 1 << (n - 1), 2):
+            if i:
+                v = (i & -i).bit_length()
+                s ^= 2 | 1 << v
+                cut ^= inc[1] ^ inc[v]
+            if (cut & first).bit_count() == 1 and ((cut & field) * repunit & packed).bit_count() == k:
+                out += (s, full ^ s)
+        return tuple(_set_sorted(out))
 
 
 def perfect_matching_face(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> Face:
     """The whole polytope: hull of all perfect matchings."""
     matchings = enumerate_perfect_matchings(g, max_vertices)
     if not matchings:
-        raise NoPerfectMatchingError(f"graph with {g.n} vertices has no perfect matching")
-    return Face(matchings)
+        raise NoPerfectMatchingError(g)
+    return Face(g, matchings)
 
 
 def min_weight_subface(face: Face, w: WeightFunction) -> Face:
@@ -104,7 +133,7 @@ def min_weight_subface(face: Face, w: WeightFunction) -> Face:
     best = min(totals)
     if totals.count(best) == len(totals):
         return face
-    return Face(tuple(mm for mm, t in zip(face.matchings, totals) if t == best))
+    return Face(face.g, tuple(mm for mm, t in zip(face.matchings, totals) if t == best))
 
 
 def _check_vertex_mask(s: int, n: int) -> None:
@@ -123,46 +152,21 @@ def _set_sorted(masks: Iterable[int]) -> list[int]:
     return out
 
 
-def _tight_odd_masks(face: Face, g: Graph) -> tuple[int, ...]:
-    """The tight odd sets as vertex masks, in (size, lexicographic) order.
-
-    A set and its complement share a cut and n is even, so only the sets
-    containing vertex 1 are visited, in Gray-code order: each step flips one
-    vertex and XORs its incidence mask into the cut (Knuth, TAOCP 7.2.1.1).
-    Odd steps flip vertex 2 and leave the set even, so the walk takes two
-    at a time.  Most sets already meet the first matching more than once;
-    the others take the test of is_tight."""
-    n, k = g.n, len(face)
-    field, repunit, packed = face.side_by_side
-    inc, first = g.incidence_masks, face.matchings[0]
-    full = (1 << n) - 1
-    s, cut, out = 1, inc[0], []
-    for i in range(0, 1 << (n - 1), 2):
-        if i:
-            v = (i & -i).bit_length()
-            s ^= 2 | 1 << v
-            cut ^= inc[1] ^ inc[v]
-        if (cut & first).bit_count() == 1 and ((cut & field) * repunit & packed).bit_count() == k:
-            out += (s, full ^ s)
-    return tuple(_set_sorted(out))
-
-
-def tight_odd_sets(face: Face, g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> tuple[int, ...]:
+def tight_odd_sets(face: Face, max_vertices: int = DEFAULT_SIZE_GUARD) -> tuple[int, ...]:
     """All odd vertex sets crossed exactly once by every matching of the
     face, as masks in (size, lexicographic) order; always includes the
     singletons.  Behind the guard; memoized on the face."""
-    if g.n > max_vertices:
-        raise SizeGuardExceeded(f"n={g.n} exceeds oracle guard {max_vertices}")
-    masks = face.tight_memo.get(g)
-    if masks is None:
-        masks = face.tight_memo[g] = _tight_odd_masks(face, g)
-    return masks
+    n = face.g.n
+    if n > max_vertices:
+        raise SizeGuardExceeded(f"n={n} exceeds oracle guard {max_vertices}")
+    return face._tight_masks
 
 
-def is_tight(face: Face, g: Graph, s: int) -> bool:
+def is_tight(face: Face, s: int) -> bool:
     """Tightness of a vertex mask.  A perfect matching crosses an odd set an
     odd number of times, so an odd set is tight iff its cut meets the
     face's matchings len(face) times in all."""
+    g = face.g
     _check_vertex_mask(s, g.n)
     field, repunit, packed = face.side_by_side
     cut = g.delta_mask(s) & field
@@ -264,13 +268,14 @@ def _reduce_row(row: list[int], basis: list[tuple[int, list[int]]]) -> list[int]
     return row
 
 
-def laminar_spans_tight_cuts(face: Face, fam: LaminarFamily, g: Graph) -> bool:
+def laminar_spans_tight_cuts(face: Face, fam: LaminarFamily) -> bool:
     """Exact rational check that the boundary vectors of the laminar family
     span those of all tight sets, restricted to the support of the face.
 
     Raises if fam is not a maximal laminar subset of tight(face).
     """
-    tight = tight_odd_sets(face, g)
+    g = face.g
+    tight = tight_odd_sets(face)
     bad = _maximality_witness(tight, fam)
     if bad is not None:
         raise ValueError(f"not a maximal laminar family of tight sets: {list(bit_positions(bad))}")
@@ -297,92 +302,86 @@ class UncrossCertificate:
     rhs_on_support: tuple[int, ...]
 
 
-def uncross_pair(s: int, t: int, face: Face, g: Graph) -> tuple[int, int, UncrossCertificate]:
+def uncross_pair(s: int, t: int, face: Face) -> tuple[int, int, UncrossCertificate]:
     """Replace a crossing pair of tight sets by a non-crossing tight pair.
 
     Odd intersection gives (S&T, S|T), even gives (S-T, T-S); in both cases
     the boundary-indicator identity holds coordinatewise on the support of
     the face, and both returned sets are verified tight.
     """
-    if not is_tight(face, g, s) or not is_tight(face, g, t):
+    if not is_tight(face, s) or not is_tight(face, t):
         raise ValueError("both sets must be tight for the face")
     if not crossing(s, t):
         raise ValueError("sets do not cross")
     odd = (s & t).bit_count() % 2 == 1
     a, b = (s & t, s | t) if odd else (s & ~t, t & ~s)
     shifts = [j - 1 for j in bit_positions(face.support_mask)]
+    delta = face.g.delta_mask
 
     def on_support(x: int, y: int) -> tuple[int, ...]:
-        dx, dy = g.delta_mask(x), g.delta_mask(y)
+        dx, dy = delta(x), delta(y)
         return tuple((dx >> j & 1) + (dy >> j & 1) for j in shifts)
 
     lhs = on_support(s, t)
     rhs = on_support(a, b)
     if lhs != rhs:
         raise EngineError("uncrossing identity failed on the face support")
-    if not is_tight(face, g, a) or not is_tight(face, g, b):
+    if not is_tight(face, a) or not is_tight(face, b):
         raise EngineError("uncrossed sets are not tight")
     return a, b, UncrossCertificate((a, b), odd, lhs, rhs)
 
 
-class ChainLayer(NamedTuple):
-    """Layer U_{p..r} of a nested chain: chain[p-2] is stripped from
-    chain[r-1] (1-based p, r; p >= 2 here, p = 1 is the plain-set form)."""
-
-    chain: tuple[int, ...]
-    p: int
-    r: int
-
-
-def forcing_groups(face: Face, g: Graph, hi: int, lo: int = 0) -> dict[int, tuple[int, ...]]:
+def forcing_groups(face: Face, hi: int, lo: int = 0) -> dict[int, tuple[int, ...]]:
     """The one "boundary edges force the interior" primitive, on the layer
     hi - lo of two nested tight vertex masks (lo = 0: the set hi).  Every
     matching meets the boundaries of lo and hi in one edge or one pair;
     the matchings are grouped by it, and each group maps to the distinct
     edge masks its matchings use inside the layer, ascending.  The layer is
     contractible iff every group has one interior.  Memoized on the face."""
-    boundary, interior = g.delta_mask(lo) | g.delta_mask(hi), g.interior_mask(hi & ~lo)
-    groups = face.forcing_memo.get((boundary, interior))
+    groups = face.forcing_memo.get((hi, lo))
     if groups is None:
+        g = face.g
+        boundary, interior = g.delta_mask(lo) | g.delta_mask(hi), g.interior_mask(hi & ~lo)
         acc: dict[int, set[int]] = {}
         for mm in face.matchings:
             acc.setdefault(mm & boundary, set()).add(mm & interior)
         groups = {key: tuple(sorted(inners)) for key, inners in acc.items()}
-        face.forcing_memo[boundary, interior] = groups
+        face.forcing_memo[hi, lo] = groups
     return groups
 
 
-def is_contractible(face: Face, target, g: Graph) -> bool:
-    """Contractibility of a tight set, or of a chain layer.
+def _tight_set_groups(face: Face, s: int) -> dict[int, tuple[int, ...]]:
+    """forcing_groups of the set s, which must be tight: s is odd and every
+    matching of the face crosses it in one edge, so every group key is one
+    edge."""
+    groups = forcing_groups(face, s)
+    if s.bit_count() % 2 == 0 or any(key.bit_count() != 1 for key in groups):
+        raise ValueError(f"set {list(bit_positions(s))} is not tight for the face")
+    return groups
 
-    Plain form (target a vertex mask): every boundary edge forces the
-    matching inside the set.  Layer form (target a ChainLayer): every pair
-    of boundary edges of the two chain prefixes forces the matching inside
-    the layer.  Raises when the target is not tight.
+
+def is_contractible(face: Face, hi: int, lo: int = 0) -> bool:
+    """Contractibility of the tight set hi, or, given lo, of the layer
+    hi - lo between two nested tight sets: every boundary edge of hi
+    (every pair of boundary edges of lo and hi) forces the matching inside.
+    A singleton has no interior, so it is contractible on every face.
+    Raises when a set is not tight or lo is not strictly inside hi.
     """
-    if not isinstance(target, ChainLayer):
-        masks = [target]
-        lo, hi = 0, target
-    else:
-        masks, p, r = target
-        if not (2 <= p <= r <= len(masks)):
-            raise ValueError(f"need 2 <= p <= r <= {len(masks)}, got p={p} r={r}")
-        lo, hi = masks[p - 2], masks[r - 1]
+    n = face.g.n
+    _check_vertex_mask(hi, n)
+    if lo:
+        _check_vertex_mask(lo, n)
         if lo & hi != lo or lo == hi:
-            raise ValueError("chain sets must be strictly nested")
-    for s in masks:
-        if not is_tight(face, g, s):
-            raise ValueError(f"set {list(bit_positions(s))} is not tight for the face")
-    return contractible_mask(face, hi, g, lo)
-
-
-def contractible_mask(face: Face, s: int, g: Graph, lo: int = 0) -> bool:
-    """Contractibility of a vertex mask, or of the layer s - lo, whose sets
-    the callers know to be tight for the face.  A singleton has no
-    interior, so it is contractible on every face."""
-    if not s & (s - 1):
+            raise ValueError("the inner set of a layer must lie strictly inside the outer one")
+        for s in (lo, hi):
+            if not is_tight(face, s):
+                raise ValueError(f"set {list(bit_positions(s))} is not tight for the face")
+        groups = forcing_groups(face, hi, lo)
+    elif not hi & (hi - 1):
         return True
-    return all(len(inners) == 1 for inners in forcing_groups(face, g, s, lo).values())
+    else:
+        groups = _tight_set_groups(face, hi)
+    return all(len(inners) == 1 for inners in groups.values())
 
 
 @dataclass(frozen=True)
@@ -414,25 +413,17 @@ class ContractionMultigraph:
         return tuple(tuple(sorted(lst)) for lst in adj)
 
 
-def contract_face(
-    face: Face, fam: LaminarFamily, threshold: int, g: Graph
-) -> ContractionMultigraph:
-    """The contraction of the graph at the given size threshold; raises
-    when a member of the family is not tight for the face."""
+def contract_face(face: Face, fam: LaminarFamily, threshold: int) -> ContractionMultigraph:
+    """The contraction of the face's graph at the given size threshold;
+    raises when a member of the family is not tight for the face."""
+    g = face.g
+    if not (1 <= threshold <= 2 * g.n):
+        raise ValueError(f"threshold must be in 1..{2 * g.n}")
     # Every perfect matching covers a vertex once: singletons are tight on
     # every face and are not tested.
     for s in fam.masks[fam.n :]:
-        if not is_tight(face, g, s):
+        if not is_tight(face, s):
             raise ValueError(f"laminar member {list(bit_positions(s))} is not tight for the face")
-    return tight_contraction(face, fam, threshold, g)
-
-
-def tight_contraction(
-    face: Face, fam: LaminarFamily, threshold: int, g: Graph
-) -> ContractionMultigraph:
-    """contract_face for a family that the caller knows to be tight."""
-    if not (1 <= threshold <= 2 * g.n):
-        raise ValueError(f"threshold must be in 1..{2 * g.n}")
     erased = 0
     for s in fam.masks:
         if s.bit_count() > threshold:
@@ -504,18 +495,18 @@ def bounded_circuit_vectors(h: ContractionMultigraph, max_node_weight: int) -> t
 def respects_face(
     y: Sequence[int],
     face: Face,
-    g: Graph,
     contraction: ContractionMultigraph | None = None,
 ) -> bool:
     """Support inside the face support, and zero inner product with every
     tight cut (restricted, in contraction context, to tight sets that are
     unions of contraction nodes; spanning makes that restriction exact)."""
+    g = face.g
     if len(y) != g.m:
         raise ValueError(f"vector length {len(y)} does not match edge count {g.m}")
     ymask = edge_mask(j for j, c in enumerate(y, start=1) if c)
     if ymask & ~face.support_mask:
         return False
-    masks = tight_odd_sets(face, g)
+    masks = tight_odd_sets(face)
     if contraction is not None:
         # The nodes partition the vertices: a union of nodes is a set that
         # no node straddles.
@@ -527,9 +518,7 @@ def respects_face(
     return True
 
 
-def lift_contracted_vector(
-    z: Sequence[int], face: Face, h: ContractionMultigraph, g: Graph
-) -> tuple[int, ...]:
+def lift_contracted_vector(z: Sequence[int], face: Face, h: ContractionMultigraph) -> tuple[int, ...]:
     """Extend a balanced vector on the contraction's edges to the ambient
     edge space by inserting the forced interior matchings of each node.
 
@@ -540,6 +529,7 @@ def lift_contracted_vector(
     respects any subface that the input respects.  Raises when a node is
     not tight for the face or not contractible.
     """
+    g = face.g
     if len(z) != g.m:
         raise ValueError(f"vector length {len(z)} does not match edge count {g.m}")
     zmask = edge_mask(j for j, c in enumerate(z, start=1) if c)
@@ -555,9 +545,7 @@ def lift_contracted_vector(
         boundary = bit_positions(g.delta_mask(sm) & zmask)
         if sum(z[eid - 1] for eid in boundary):
             raise ValueError(f"vector is unbalanced at node {list(bit_positions(sm))}")
-        groups = forcing_groups(face, g, sm)
-        if any(key & (key - 1) for key in groups):
-            raise ValueError(f"node {list(bit_positions(sm))} is not tight for the face")
+        groups = _tight_set_groups(face, sm)
         for eid in boundary:
             inners = groups.get(1 << (eid - 1))
             if inners is None:
@@ -584,7 +572,7 @@ class GoodnessReport:
         return self.ok
 
 
-def goodness_check(face: Face, fam: LaminarFamily, threshold: int, g: Graph) -> GoodnessReport:
+def goodness_check(face: Face, fam: LaminarFamily, threshold: int) -> GoodnessReport:
     """The progress predicate for a face-laminar pair at a size threshold:
 
     (a) the family is a maximal laminar subset of the tight sets,
@@ -594,15 +582,13 @@ def goodness_check(face: Face, fam: LaminarFamily, threshold: int, g: Graph) -> 
 
     Returns which clause failed and a witness when not good.
     """
-    bad = _maximality_witness(tight_odd_sets(face, g), fam)
+    bad = _maximality_witness(tight_odd_sets(face), fam)
     if bad is not None:
         return GoodnessReport(False, "maximality", bad)
-    # Maximality has just proved every member tight, as contractible_mask
-    # and tight_contraction need.
     for s in fam.masks:
-        if s.bit_count() <= threshold and not contractible_mask(face, s, g):
+        if s.bit_count() <= threshold and not is_contractible(face, s):
             return GoodnessReport(False, "contractibility", s)
-    h = tight_contraction(face, fam, threshold, g)
+    h = contract_face(face, fam, threshold)
     vectors = bounded_circuit_vectors(h, threshold)
     if vectors:
         return GoodnessReport(False, "circuit", vectors[0])

@@ -42,6 +42,9 @@ class EngineError(RuntimeError):
 class NoPerfectMatchingError(ValueError):
     """The input graph has no perfect matching."""
 
+    def __init__(self, g: Graph):
+        super().__init__(f"graph with {g.n} vertices has no perfect matching")
+
 
 @dataclass(frozen=True)
 class Graph:

@@ -19,14 +19,15 @@ def forced_interiors(face, boundary: int, interior: int) -> bool:
     return True
 
 
-def contractible(face, g, hi: int, lo: int = 0) -> bool:
+def contractible(face, hi: int, lo: int = 0) -> bool:
     """Contractibility of the tight set hi, or of the layer hi - lo."""
+    g = face.g
     return forced_interiors(face, g.delta_mask(lo) | g.delta_mask(hi), g.interior_mask(hi & ~lo))
 
 
-def forced_interior(face, g, node: int, eid: int) -> int:
+def forced_interior(face, node: int, eid: int) -> int:
     """The interior of node in every matching of the face through edge eid."""
-    bit, interior, inner = 1 << (eid - 1), g.interior_mask(node), None
+    bit, interior, inner = 1 << (eid - 1), face.g.interior_mask(node), None
     for mm in face.matchings:
         if mm & bit:
             part = mm & interior
@@ -39,9 +40,10 @@ def forced_interior(face, g, node: int, eid: int) -> int:
     return inner
 
 
-def lift(z, face, h, g) -> tuple[int, ...]:
+def lift(z, face, h) -> tuple[int, ...]:
     """lift_contracted_vector's insertion of forced interiors, without its
     input checks."""
+    g = face.g
     y = list(z)
     for node in h.nodes:
         if node.bit_count() == 1:
@@ -51,24 +53,20 @@ def lift(z, face, h, g) -> tuple[int, ...]:
             pos += [eid] * max(z[eid - 1], 0)
             neg += [eid] * max(-z[eid - 1], 0)
         for e_plus, e_minus in zip(pos, neg):
-            for eid in bit_positions(forced_interior(face, g, node, e_plus)):
+            for eid in bit_positions(forced_interior(face, node, e_plus)):
                 y[eid - 1] += 1
-            for eid in bit_positions(forced_interior(face, g, node, e_minus)):
+            for eid in bit_positions(forced_interior(face, node, e_minus)):
                 y[eid - 1] -= 1
     return tuple(y)
 
 
-def layer_difference_vectors(face, chain, p: int, r: int, g) -> set[tuple[int, ...]]:
-    """For each pair of boundary edges of the chain prefixes, the
-    differences of the distinct interiors of the matchings through both."""
-    hi = chain[r - 1]
-    if p >= 2:
-        lo = chain[p - 2]
-        interior = g.interior_mask(hi & ~lo)
-        lo_ids = bit_positions(g.delta_mask(lo))
-    else:
-        interior = g.interior_mask(hi)
-        lo_ids = [None]
+def layer_difference_vectors(face, hi: int, lo: int = 0) -> set[tuple[int, ...]]:
+    """For each pair of boundary edges of lo and hi (each boundary edge of
+    hi when lo = 0), the differences of the distinct interiors of the
+    matchings through both."""
+    g = face.g
+    interior = g.interior_mask(hi & ~lo)
+    lo_ids = bit_positions(g.delta_mask(lo)) if lo else [None]
     out = set()
     for e_lo in lo_ids:
         bit_lo = 0 if e_lo is None else 1 << (e_lo - 1)

@@ -326,29 +326,29 @@ def test_criterion_8_removal_law():
         if sum(a * b for a, b in zip(vec, w.values)) == 0:
             continue
         sub = min_weight_subface(face, w)
-        assert not respects_face(vec, sub, g)
+        assert not respects_face(vec, sub)
         done += 1
     announce(8, time.perf_counter() - started, "200 cases, none respects the minimized face")
 
 
 def _structural_checks(face, g, limit_pairs=40, limit_sets=None):
-    tight = tight_odd_sets(face, g)
+    tight = tight_odd_sets(face)
     fam = extend_to_maximal_laminar(singletons(g.n), tight)
-    assert laminar_spans_tight_cuts(face, fam, g)
+    assert laminar_spans_tight_cuts(face, fam)
     # Uncrossing identities on deterministically sampled crossing pairs.
     pairs_checked = 0
     for s, t in itertools.combinations(tight, 2):
         if pairs_checked >= limit_pairs:
             break
         if crossing(s, t):
-            uncross_pair(s, t, face, g)  # raises on any violated identity
+            uncross_pair(s, t, face)  # raises on any violated identity
             pairs_checked += 1
     # Contractibility: downward closure on nested tight pairs, and
     # stability under one seeded subface.
     sets = list(tight) if limit_sets is None else list(fam.masks) + [
         s for s in tight if s not in fam.masks
     ][:limit_sets]
-    flags = {s: is_contractible(face, s, g) for s in sets}
+    flags = {s: is_contractible(face, s) for s in sets}
     for s, t in itertools.combinations(sets, 2):
         if s & t == s != t and flags[t]:
             assert flags[s], f"downward closure failed for {bit_positions(s)} < {bit_positions(t)}"
@@ -357,7 +357,7 @@ def _structural_checks(face, g, limit_pairs=40, limit_sets=None):
     sub = min_weight_subface(face, random_weights(g, 99))
     for s in sets:
         if flags[s]:
-            assert is_contractible(sub, s, g), "subface stability failed"
+            assert is_contractible(sub, s), "subface stability failed"
 
 
 def test_criterion_9_structural_lemmas(corpus8_with_pm):
@@ -402,7 +402,7 @@ def test_criterion_11_circuit_census(corpus8_with_pm):
         state = initial_state(g)
         while True:
             lam = state.threshold
-            h = contract_face(state.face, state.laminar, lam, g)
+            h = contract_face(state.face, state.laminar, lam)
             assert bounded_circuit_vectors(h, lam) == ()
             census = len(bounded_circuit_vectors(h, 2 * lam))
             assert census <= bound_total
@@ -410,6 +410,6 @@ def test_criterion_11_circuit_census(corpus8_with_pm):
             censuses += 1
             if lam >= g.n:
                 break
-            state = advance(state, g)
+            state = advance(state)
     announce(11, time.perf_counter() - started,
              f"{censuses} contractions, max census {worst} <= n^17")

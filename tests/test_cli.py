@@ -209,6 +209,17 @@ def test_isolate_no_pm(capsys, triangle_file):
     assert "no perfect matching" in err
 
 
+def test_isolate_routes_refuse_no_pm_alike(capsys, tmp_path):
+    star = tmp_path / "star.txt"
+    star.write_text("4 3\n1 2\n1 3\n1 4\n")
+    errs = set()
+    for route in (["--derandomized"], ["--randomized", "--seed", "1"]):
+        code, out, err = run(capsys, "isolate", "--graph", str(star), *route)
+        assert code == 4 and out == ""
+        errs.add(err)
+    assert errs == {"error: graph with 4 vertices has no perfect matching\n"}
+
+
 def test_weights_single_member(capsys):
     code, out, _ = run(capsys, "weights", "--n", "4", "--k", "3", "--edges", "5")
     assert code == 0
@@ -531,3 +542,20 @@ def test_library_has_one_set_type():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "frozenset"]
         assert not lines, f"{path.name} names frozenset on lines {lines}"
+
+
+def test_face_operations_take_no_separate_graph():
+    """A face carries its graph: no function of faces or engine takes a
+    graph g beside a face or a state."""
+    import ast
+
+    src = Path(__file__).resolve().parent.parent / "src" / "matchiso"
+    for name in ("faces.py", "engine.py"):
+        tree = ast.parse((src / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+                assert not ("g" in params and params & {"face", "state"}), (
+                    f"{name}:{node.lineno} {node.name} takes g beside a face or a state"
+                )

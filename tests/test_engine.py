@@ -25,7 +25,7 @@ from matchiso import (
 from matchiso.engine import ceil_log2, chain_phase_spans, compose_log, PhaseRecord
 from matchiso.faces import contract_face, bounded_circuit_vectors
 from matchiso.graphs import bit_positions, edge_mask, vertex_mask
-from matchiso.tutte import STATUS_MATCHED, STATUS_NO_PM
+from matchiso.tutte import STATUS_MATCHED
 
 from conftest import random_graph_with_pm
 
@@ -57,14 +57,14 @@ def test_remove_circuits_c4_trace(c4):
     # the two parallel support edges form the only short circuit; the
     # smallest separating member is k=7 and minimizing it isolates {1,4}.
     state = initial_state(c4)
-    record, face = remove_circuits(state.face, state.laminar, bound=4, beta=4, g=c4)
+    record, face = remove_circuits(state.face, state.laminar, bound=4, beta=4)
     assert record.k == 7
     assert record.obligations == 1
     assert record.changed_face
     assert face.matchings == (f({1, 4}),)
-    h = contract_face(state.face, state.laminar, 4, c4)
+    h = contract_face(state.face, state.laminar, 4)
     for z in bounded_circuit_vectors(h, 4):
-        assert not respects_face(z, face, c4, contraction=h)
+        assert not respects_face(z, face, contraction=h)
 
 
 def test_find_member_raises_when_the_scan_comes_back_empty(monkeypatch):
@@ -79,7 +79,7 @@ def test_find_member_raises_when_the_scan_comes_back_empty(monkeypatch):
 
 def test_remove_circuits_vacuous(c4):
     state = initial_state(c4)
-    record, face = remove_circuits(state.face, state.laminar, bound=2, beta=2, g=c4)
+    record, face = remove_circuits(state.face, state.laminar, bound=2, beta=2)
     assert record.k == 2
     assert record.obligations == 0
     assert not record.changed_face
@@ -88,7 +88,7 @@ def test_remove_circuits_vacuous(c4):
 
 def test_make_chains_no_members_is_noop(c4):
     state = initial_state(c4)
-    records, face = make_chains_contractible(state.face, state.laminar, 1, c4)
+    records, face = make_chains_contractible(state.face, state.laminar, 1)
     assert records == ()
     assert face.matchings == state.face.matchings
 
@@ -98,24 +98,24 @@ def test_make_chains_k6_five_set(k6):
     # the short circuits of the K5 left after erasing its boundary, and the
     # verification demands the 5-set end up contractible.
     state = initial_state(k6)
-    st2 = advance(advance(state, k6), k6)
+    st2 = advance(advance(state))
     assert st2.threshold == 4
-    records, face = make_chains_contractible(st2.face, st2.laminar, 4, k6)
+    records, face = make_chains_contractible(st2.face, st2.laminar, 4)
     assert records, "chain phase records expected"
     assert records[0].label.startswith("circuits:bound=8,beta=4")
     from matchiso.faces import is_contractible
 
-    assert is_contractible(face, v({1, 2, 3, 4, 5}), k6)
+    assert is_contractible(face, v({1, 2, 3, 4, 5}))
 
 
 def test_advance_c4_two_rounds(c4):
     state = initial_state(c4)
-    st1 = advance(state, c4)
+    st1 = advance(state)
     # The first doubling has nothing to do: the triple's boundary is erased
     # in the contraction and no short circuits exist.
     assert st1.threshold == 2
     assert st1.face.matchings == state.face.matchings
-    st2 = advance(st1, c4)
+    st2 = advance(st1)
     assert st2.threshold == 4
     assert st2.face.matchings == (f({1, 4}),)
     assert set(state.laminar.masks) <= set(st2.laminar.masks)
@@ -124,7 +124,7 @@ def test_advance_c4_two_rounds(c4):
 def test_advance_noop_on_unique_matching(p4):
     state = initial_state(p4)
     assert len(state.face) == 1
-    st1 = advance(state, p4)
+    st1 = advance(state)
     assert st1.threshold == 2
     assert st1.face.matchings == state.face.matchings
 
@@ -207,8 +207,8 @@ def test_isolate_randomized_expected_trials(c4):
 
 
 def test_isolate_randomized_no_pm(triangle):
-    out = isolate_randomized(triangle, seed=1)
-    assert out.status == STATUS_NO_PM
+    with pytest.raises(NoPerfectMatchingError, match="graph with 3 vertices has no perfect matching"):
+        isolate_randomized(triangle, seed=1)
 
 
 def test_isolate_randomized_exhaustion(c4):
@@ -255,7 +255,8 @@ def test_isolate_randomized_above_the_guard_enumerates_nothing(monkeypatch):
     assert out.status == STATUS_MATCHED and out.matching == cert.matching
     odd = random_graph_with_pm(18, 0.2, random.Random(6))
     isolated = Graph(odd.n, tuple(e for e in odd.edges if 18 not in e))
-    assert isolate_randomized(isolated, seed=1).status == STATUS_NO_PM
+    with pytest.raises(NoPerfectMatchingError):
+        isolate_randomized(isolated, seed=1)
 
 
 def test_random_corpus_smoke():

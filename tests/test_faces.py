@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchiso import (
-    ChainLayer,
     ContractionMultigraph,
     Face,
     LaminarFamily,
@@ -41,9 +40,10 @@ f = edge_mask  # a matching: the mask of its edge ids
 v = vertex_mask  # a vertex set: the mask of its labels
 
 
-def tight_sets_oracle(face, g):
+def tight_sets_oracle(face):
     """Independent implementation: explicit subsets and crossing counts;
     the masks of the tight sets in (size, lexicographic) order."""
+    g = face.g
     out = []
     for size in range(1, g.n + 1, 2):
         for s in itertools.combinations(range(1, g.n + 1), size):
@@ -71,11 +71,11 @@ def prism_one_connector_face(prism):
     return face
 
 
-def test_face_canonicalization_and_nonempty():
-    face = Face((f({2, 3}), f({1, 4}), f({2, 3})))
+def test_face_canonicalization_and_nonempty(c4):
+    face = Face(c4, (f({2, 3}), f({1, 4}), f({2, 3})))
     assert face.matchings == (f({1, 4}), f({2, 3}))
     with pytest.raises(ValueError):
-        Face(())
+        Face(c4, ())
 
 
 def test_face_orders_masks_lexicographically_on_edge_ids(k6):
@@ -83,12 +83,26 @@ def test_face_orders_masks_lexicographically_on_edge_ids(k6):
     masks = list(enumerate_perfect_matchings(k6))
     shuffled = masks + rng.sample(masks, 7)
     rng.shuffle(shuffled)
-    assert Face(tuple(shuffled)).matchings == tuple(sorted(set(shuffled), key=bit_positions))
+    assert Face(k6, tuple(shuffled)).matchings == tuple(sorted(set(shuffled), key=bit_positions))
 
 
-def test_face_rejects_masks_of_unequal_size():
-    with pytest.raises(ValueError):
-        Face((f({1, 4}), f({2})))
+def test_face_rejects_masks_of_unequal_size(c4):
+    """Every matching of a face has n/2 edges, so masks of one wrong size
+    are refused as well."""
+    for masks in [(f({1, 4}), f({2})), (f({1}), f({4})), (f({1, 2, 3}),)]:
+        with pytest.raises(ValueError, match="n/2 edges"):
+            Face(c4, masks)
+
+
+@pytest.mark.parametrize("masks", [
+    (f({1, 4}), f({2, 5})),  # edge 5 of a 4-edge graph
+    (f({4, 5}),),
+    (f({2}) | 1 << 70,),  # edge 71
+    (-f({1, 4}),),
+], ids=["second-mask", "only-mask", "far-above", "negative"])
+def test_face_refuses_edges_outside_the_graph(c4, masks):
+    with pytest.raises(ValueError, match="outside 1..4"):
+        Face(c4, masks)
 
 
 def test_perfect_matching_face(c4, triangle):
@@ -112,22 +126,22 @@ def test_min_weight_subface(c4, k4):
 
 def test_noop_minimization_returns_the_same_face(k4):
     face = perfect_matching_face(k4)
-    tight = tight_odd_sets(face, k4)
+    tight = tight_odd_sets(face)
     # Every perfect matching of K4 has two edges, so unit weights tie them.
     same = min_weight_subface(face, WeightFunction(4, (1,) * 6))
     assert same is face
-    assert tight_odd_sets(same, k4) is tight
+    assert tight_odd_sets(same) is tight
 
 
 def test_cutting_minimization_returns_a_new_face(prism):
     face = perfect_matching_face(prism)
-    tight = tight_odd_sets(face, prism)
+    tight = tight_odd_sets(face)
     # Weight on edge 7 = (4, 5) cuts the one matching that uses it.
     sub = min_weight_subface(face, WeightFunction(6, (0, 0, 0, 0, 0, 0, 1, 0, 0)))
     assert sub is not face and len(sub) == len(face) - 1
     # The subface walks its own tight sets, not the parent's.
-    assert set(tight) < set(tight_odd_sets(sub, prism))
-    assert list(tight_odd_sets(sub, prism)) == tight_sets_oracle(sub, prism)
+    assert set(tight) < set(tight_odd_sets(sub))
+    assert list(tight_odd_sets(sub)) == tight_sets_oracle(sub)
 
 
 def test_cutting_subface_takes_the_parent_masks():
@@ -156,20 +170,21 @@ def test_cutting_subface_takes_the_parent_masks():
 
 
 def test_tight_sets_are_memoized_per_graph(c6):
-    # The same edge ids on the relabelled 6-cycle 1-2-5-6-4-3-1: one face,
-    # two graphs, two families of tight sets.
+    # The same edge ids on the relabelled 6-cycle 1-2-5-6-4-3-1: two faces
+    # with the same masks, two graphs, two families of tight sets.
     other = graph_from_edges(6, [(1, 2), (1, 3), (2, 5), (3, 4), (4, 6), (5, 6)])
-    face = perfect_matching_face(c6)
-    assert face.matchings == perfect_matching_face(other).matchings
-    assert tight_odd_sets(face, c6) != tight_odd_sets(face, other)
-    for g in (c6, other, c6):
-        assert list(tight_odd_sets(face, g)) == tight_sets_oracle(face, g)
+    face, twin = perfect_matching_face(c6), perfect_matching_face(other)
+    assert face.matchings == twin.matchings
+    assert tight_odd_sets(face) != tight_odd_sets(twin)
+    for x in (face, twin, face):
+        assert list(tight_odd_sets(x)) == tight_sets_oracle(x)
+        assert tight_odd_sets(x) is tight_odd_sets(x)
 
 
 def test_face_support(c4):
     face = perfect_matching_face(c4)
     assert face.support_mask == edge_mask({1, 2, 3, 4})
-    assert Face((f({2, 3}),)).support_mask == edge_mask({2, 3})
+    assert Face(c4, (f({2, 3}),)).support_mask == edge_mask({2, 3})
 
 
 def test_face_support_five_edge_document(fig_four_vertex):
@@ -182,8 +197,8 @@ def test_face_support_five_edge_document(fig_four_vertex):
 
 def test_tight_odd_sets_c4(c4):
     face = perfect_matching_face(c4)
-    got = tight_odd_sets(face, c4)
-    assert list(got) == tight_sets_oracle(face, c4)
+    got = tight_odd_sets(face)
+    assert list(got) == tight_sets_oracle(face)
     assert set(got) == {
         v({1}), v({2}), v({3}), v({4}),
         v({1, 2, 3}), v({1, 2, 4}), v({1, 3, 4}), v({2, 3, 4}),
@@ -192,8 +207,8 @@ def test_tight_odd_sets_c4(c4):
 
 def test_tight_odd_sets_k4(k4):
     face = perfect_matching_face(k4)
-    got = tight_odd_sets(face, k4)
-    assert list(got) == tight_sets_oracle(face, k4)
+    got = tight_odd_sets(face)
+    assert list(got) == tight_sets_oracle(face)
     assert len(got) == 8
 
 
@@ -202,16 +217,16 @@ def test_tight_odd_sets_prism_full_face(prism):
     # triangles are not tight for the full face; only singletons and their
     # complements are.
     face = perfect_matching_face(prism)
-    got = tight_odd_sets(face, prism)
-    assert list(got) == tight_sets_oracle(face, prism)
+    got = tight_odd_sets(face)
+    assert list(got) == tight_sets_oracle(face)
     assert v({1, 2, 3}) not in got
     assert len(got) == 12
 
 
 def test_tight_odd_sets_one_connector_face(prism, prism_one_connector_face):
-    got = tight_odd_sets(prism_one_connector_face, prism)
+    got = tight_odd_sets(prism_one_connector_face)
     assert v({1, 2, 3}) in got and v({4, 5, 6}) in got
-    assert list(got) == tight_sets_oracle(prism_one_connector_face, prism)
+    assert list(got) == tight_sets_oracle(prism_one_connector_face)
 
 
 @given(st.integers(2, 7), st.data())
@@ -223,7 +238,7 @@ def test_tight_odd_sets_match_oracle(n, data):
     if not enumerate_perfect_matchings(g):
         return
     face = perfect_matching_face(g)
-    assert list(tight_odd_sets(face, g)) == tight_sets_oracle(face, g)
+    assert list(tight_odd_sets(face)) == tight_sets_oracle(face)
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
@@ -236,7 +251,7 @@ def test_gray_code_tight_sets_match_oracle_on_larger_graphs(n):
         whole = perfect_matching_face(g)
         # A small family member ties many matchings, so the subface is rarely a point.
         for face in (whole, min_weight_subface(whole, family_member(rng.randint(2, 4), g.n, g.m))):
-            assert list(tight_odd_sets(face, g)) == tight_sets_oracle(face, g)
+            assert list(tight_odd_sets(face)) == tight_sets_oracle(face)
 
 
 def test_mask_tightness_matches_oracle_on_every_set():
@@ -244,16 +259,16 @@ def test_mask_tightness_matches_oracle_on_every_set():
     g = random_graph_with_pm(8, 0.4, rng)
     whole = perfect_matching_face(g)
     for face in (whole, min_weight_subface(whole, random_weights(g, 3))):
-        tight = set(tight_sets_oracle(face, g))
+        tight = set(tight_sets_oracle(face))
         for size in range(1, 9):
             for s in itertools.combinations(range(1, 9), size):
-                assert is_tight(face, g, v(s)) == (v(s) in tight)
+                assert is_tight(face, v(s)) == (v(s) in tight)
 
 
 def test_extend_to_maximal_laminar_c4(c4):
     face = perfect_matching_face(c4)
     base = singletons(4)
-    fam = extend_to_maximal_laminar(base, tight_odd_sets(face, c4))
+    fam = extend_to_maximal_laminar(base, tight_odd_sets(face))
     # Any two distinct 3-subsets of a 4-set cross, so exactly one triple
     # joins, and the (size, lexicographic) order picks {1,2,3}.
     assert fam.masks == (v({1}), v({2}), v({3}), v({4}), v({1, 2, 3}))
@@ -281,19 +296,19 @@ def test_laminar_family_validation():
 def test_span_equality_c4_and_k4(c4, k4):
     for g in (c4, k4):
         face = perfect_matching_face(g)
-        fam = extend_to_maximal_laminar(singletons(4), tight_odd_sets(face, g))
-        assert laminar_spans_tight_cuts(face, fam, g)
+        fam = extend_to_maximal_laminar(singletons(4), tight_odd_sets(face))
+        assert laminar_spans_tight_cuts(face, fam)
 
 
 def test_span_equality_requires_maximal(c4):
     face = perfect_matching_face(c4)
     with pytest.raises(ValueError):
-        laminar_spans_tight_cuts(face, singletons(4), c4)
+        laminar_spans_tight_cuts(face, singletons(4))
 
 
 def test_uncross_even_intersection(c4):
     face = perfect_matching_face(c4)
-    a, b, cert = uncross_pair(v({1, 2, 3}), v({2, 3, 4}), face, c4)
+    a, b, cert = uncross_pair(v({1, 2, 3}), v({2, 3, 4}), face)
     assert (a, b) == (v({1}), v({4}))
     assert not cert.odd_intersection
     assert cert.lhs_on_support == cert.rhs_on_support
@@ -302,7 +317,7 @@ def test_uncross_even_intersection(c4):
 def test_uncross_odd_intersection(c6):
     face = perfect_matching_face(c6)
     s, t = v({1, 2, 3}), v({3, 4, 5})
-    a, b, cert = uncross_pair(s, t, face, c6)
+    a, b, cert = uncross_pair(s, t, face)
     assert (a, b) == (v({3}), v({1, 2, 3, 4, 5}))
     assert cert.odd_intersection
     assert cert.lhs_on_support == cert.rhs_on_support
@@ -311,11 +326,11 @@ def test_uncross_odd_intersection(c6):
 def test_uncross_rejects_non_crossing(c4):
     face = perfect_matching_face(c4)
     with pytest.raises(ValueError):
-        uncross_pair(v({1}), v({2}), face, c4)  # disjoint
+        uncross_pair(v({1}), v({2}), face)  # disjoint
     with pytest.raises(ValueError):
-        uncross_pair(v({1}), v({1, 2, 3}), face, c4)  # nested
+        uncross_pair(v({1}), v({1, 2, 3}), face)  # nested
     with pytest.raises(ValueError):
-        uncross_pair(v({1, 2}), v({2, 3, 4}), face, c4)  # {1,2} not tight
+        uncross_pair(v({1, 2}), v({2, 3, 4}), face)  # {1,2} not tight
 
 
 @pytest.mark.parametrize(
@@ -323,15 +338,19 @@ def test_uncross_rejects_non_crossing(c4):
 )
 def test_out_of_range_vertex_masks_raise_value_error(c4, s):
     """Every public function taking a vertex mask from its caller refuses
-    one that is not a nonempty set of the vertices 1..n."""
+    one that is not a nonempty set of the vertices 1..n.  The inner set
+    of a layer is the exception: lo = 0 asks for the plain form."""
     face = perfect_matching_face(c4)
-    for call in (
-        lambda: is_tight(face, c4, s),
-        lambda: is_contractible(face, s, c4),
-        lambda: is_contractible(face, ChainLayer((v({1}), v({1, 2, 3}), s), 2, 2), c4),
-        lambda: uncross_pair(s, v({2, 3, 4}), face, c4),
-        lambda: uncross_pair(v({1, 2, 3}), s, face, c4),
-    ):
+    calls = [
+        lambda: is_tight(face, s),
+        lambda: is_contractible(face, s),
+        lambda: is_contractible(face, s, v({1})),
+        lambda: uncross_pair(s, v({2, 3, 4}), face),
+        lambda: uncross_pair(v({1, 2, 3}), s, face),
+    ]
+    if s:
+        calls.append(lambda: is_contractible(face, v({1, 2, 3}), s))
+    for call in calls:
         with pytest.raises(ValueError, match="vertex mask"):
             call()
     with pytest.raises(ValueError, match="vertex mask"):
@@ -341,34 +360,35 @@ def test_out_of_range_vertex_masks_raise_value_error(c4, s):
 def test_contractible_singletons_always(c4):
     face = perfect_matching_face(c4)
     for x in range(1, 5):
-        assert is_contractible(face, v({x}), c4)
+        assert is_contractible(face, v({x}))
 
 
 def test_contractible_c4_triple(c4):
     face = perfect_matching_face(c4)
-    assert is_contractible(face, v({1, 2, 3}), c4)
+    assert is_contractible(face, v({1, 2, 3}))
 
 
 def test_contractible_prism_triangle(prism, prism_one_connector_face):
     # Fixing the crossing connector forces the interior triangle edge.
-    assert is_contractible(prism_one_connector_face, v({1, 2, 3}), prism)
-    assert is_contractible(prism_one_connector_face, v({4, 5, 6}), prism)
+    assert is_contractible(prism_one_connector_face, v({1, 2, 3}))
+    assert is_contractible(prism_one_connector_face, v({4, 5, 6}))
 
 
 def test_contractible_fails_on_k6_five_set(k6):
     face = perfect_matching_face(k6)
     # Matchings through a fixed boundary edge still differ inside {1..5}.
-    assert not is_contractible(face, v({1, 2, 3, 4, 5}), k6)
+    assert not is_contractible(face, v({1, 2, 3, 4, 5}))
 
 
 def test_contractible_requires_tight(prism):
     face = perfect_matching_face(prism)
     with pytest.raises(ValueError):
-        is_contractible(face, v({1, 2, 3}), prism)  # not tight for full face
+        is_contractible(face, v({1, 2, 3}))  # not tight for full face
 
 
-def layer_oracle(face, g, chain, p, r):
-    lo, hi = set(bit_positions(chain[p - 2])), set(bit_positions(chain[r - 1]))
+def layer_oracle(face, hi, lo):
+    g = face.g
+    lo, hi = set(bit_positions(lo)), set(bit_positions(hi))
     u = hi - lo
     interior = [
         j for j in range(1, g.m + 1) if set(g.endpoints(j)) <= u
@@ -390,29 +410,34 @@ def layer_oracle(face, g, chain, p, r):
 def test_layer_contractibility_matches_oracle(c6, k6):
     chain_c6 = (v({3}), v({1, 2, 3}), v({1, 2, 3, 4, 5}))
     face = perfect_matching_face(c6)
-    for p in (2, 3):
-        for r in range(p, 4):
-            got = is_contractible(face, ChainLayer(chain_c6, p, r), c6)
-            assert got == layer_oracle(face, c6, chain_c6, p, r)
-    chain_k6 = (v({1}), v({1, 2, 3}), v({1, 2, 3, 4, 5}))
+    for lo, hi in itertools.combinations(chain_c6, 2):
+        assert is_contractible(face, hi, lo) == layer_oracle(face, hi, lo)
     face_k6 = perfect_matching_face(k6)
-    # {1,2,3} is not tight for the K6 face, so the layer form must refuse.
-    with pytest.raises(ValueError):
-        is_contractible(face_k6, ChainLayer(chain_k6, 2, 2), k6)
+    # {1,2,3} is not tight for the K6 face, so the layer form must refuse
+    # it, as the outer and as the inner set.
+    with pytest.raises(ValueError, match="not tight"):
+        is_contractible(face_k6, v({1, 2, 3}), v({1}))
+    with pytest.raises(ValueError, match="not tight"):
+        is_contractible(face_k6, v({1, 2, 3, 4, 5}), v({1, 2, 3}))
 
 
 def test_layer_validation(c6):
     face = perfect_matching_face(c6)
-    chain = (v({3}), v({1, 2, 3}))
-    with pytest.raises(ValueError):
-        is_contractible(face, ChainLayer(chain, 1, 1), c6)  # p must be >= 2
-    with pytest.raises(ValueError):
-        is_contractible(face, ChainLayer(chain, 2, 3), c6)  # r out of range
+    for hi, lo, message in [
+        (v({1, 2, 3}), v({3, 4, 5}), "strictly inside"),  # lo not inside hi
+        (v({1, 2, 3}), v({1, 2, 3}), "strictly inside"),  # lo == hi
+        (v({3}), v({1, 2, 3}), "strictly inside"),  # lo around hi
+        (v({1, 2, 3}), -v({3}), "vertex mask"),
+        (v({1, 2, 3}), 1 << 6, "vertex mask"),
+        (1 << 6 | v({3}), v({3}), "vertex mask"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            is_contractible(face, hi, lo)
 
 
 def test_contract_face_uncontracted(c4):
     face = perfect_matching_face(c4)
-    h = contract_face(face, singletons(4), 1, c4)
+    h = contract_face(face, singletons(4), 1)
     assert h.nodes == (v({1}), v({2}), v({3}), v({4}))
     assert h.node_weights == (1, 1, 1, 1)
     assert [e for _, _, e in h.edges] == [1, 2, 3, 4]
@@ -420,7 +445,7 @@ def test_contract_face_uncontracted(c4):
 
 def test_contract_face_prism_triangles(prism, prism_one_connector_face):
     fam = LaminarFamily(6, singletons(6).masks + (v({1, 2, 3}), v({4, 5, 6})))
-    h = contract_face(prism_one_connector_face, fam, 3, prism)
+    h = contract_face(prism_one_connector_face, fam, 3)
     assert h.nodes == (v({1, 2, 3}), v({4, 5, 6}))
     assert h.node_weights == (3, 3)
     # Surviving edges are exactly the three connectors (ids 3, 5, 6).
@@ -432,7 +457,7 @@ def test_contract_face_erases_large_boundaries(prism, prism_one_connector_face):
     fam = LaminarFamily(
         6, singletons(6).masks + (v({1, 2, 3}), v({1, 2, 3, 4, 5}))
     )
-    h = contract_face(prism_one_connector_face, fam, 3, prism)
+    h = contract_face(prism_one_connector_face, fam, 3)
     # {1,2,3} contracts; the 5-set boundary (edges at vertex 6) is erased;
     # the triangle interior disappears.  Edges left: (1,4)=3, (2,5)=5, (4,5)=7.
     assert h.nodes == (v({1, 2, 3}), v({4}), v({5}), v({6}))
@@ -443,7 +468,7 @@ def test_contract_face_rejects_untight_member(prism):
     face = perfect_matching_face(prism)
     fam = LaminarFamily(6, singletons(6).masks + (v({1, 2, 3}),))
     with pytest.raises(ValueError):
-        contract_face(face, fam, 3, prism)
+        contract_face(face, fam, 3)
 
 
 def test_bounded_circuit_vectors_repeated_edge_walk():
@@ -462,21 +487,21 @@ def test_bounded_circuit_vectors_repeated_edge_walk():
 
 def test_bounded_circuit_vectors_c4(c4):
     face = perfect_matching_face(c4)
-    h = contract_face(face, singletons(4), 1, c4)
+    h = contract_face(face, singletons(4), 1)
     assert bounded_circuit_vectors(h, 4) == ((1, -1, -1, 1),)
     assert bounded_circuit_vectors(h, 3) == ()
 
 
 def test_bounded_circuit_vectors_single_edge():
     g = graph_from_edges(2, [(1, 2)])
-    h = contract_face(perfect_matching_face(g), singletons(2), 1, g)
+    h = contract_face(perfect_matching_face(g), singletons(2), 1)
     assert bounded_circuit_vectors(h, 10) == ()
 
 
 def test_bounded_circuit_vectors_parallel_pair(c4):
     face = perfect_matching_face(c4)
-    fam = extend_to_maximal_laminar(singletons(4), tight_odd_sets(face, c4))
-    h = contract_face(face, fam, 4, c4)
+    fam = extend_to_maximal_laminar(singletons(4), tight_odd_sets(face))
+    h = contract_face(face, fam, 4)
     assert h.node_weights == (3, 1)
     # Two parallel edges between the contracted triple and vertex 4; the
     # two-step circuit weighs 3 + 1 = 4.
@@ -487,44 +512,44 @@ def test_bounded_circuit_vectors_parallel_pair(c4):
 def test_respects_face_whole_graph(c4):
     face = perfect_matching_face(c4)
     cycle_vec = (1, -1, -1, 1)
-    assert respects_face(cycle_vec, face, c4)
-    assert respects_face((0, 0, 0, 0), face, c4)
+    assert respects_face(cycle_vec, face)
+    assert respects_face((0, 0, 0, 0), face)
     sub = min_weight_subface(face, WeightFunction(4, (1, 1, 1, 2)))
-    assert not respects_face(cycle_vec, sub, c4)  # support shrank
-    assert not respects_face((1, 1, 0, 0), face, c4)  # singleton cut hit
+    assert not respects_face(cycle_vec, sub)  # support shrank
+    assert not respects_face((1, 1, 0, 0), face)  # singleton cut hit
 
 
 def test_respects_face_contraction_context(prism, prism_one_connector_face):
     fam = LaminarFamily(6, singletons(6).masks + (v({1, 2, 3}), v({4, 5, 6})))
-    h = contract_face(prism_one_connector_face, fam, 3, prism)
+    h = contract_face(prism_one_connector_face, fam, 3)
     z = [0] * 9
     z[2], z[4] = 1, -1  # connectors (1,4) and (2,5)
-    assert respects_face(z, prism_one_connector_face, prism, contraction=h)
+    assert respects_face(z, prism_one_connector_face, contraction=h)
     # In whole-graph context the same vector violates singleton cuts.
-    assert not respects_face(z, prism_one_connector_face, prism)
+    assert not respects_face(z, prism_one_connector_face)
 
 
 def test_respect_is_monotone_under_subfaces(c4):
     face = perfect_matching_face(c4)
     sub = min_weight_subface(face, WeightFunction(4, (1, 1, 1, 2)))
     for vec in [(1, -1, -1, 1), (1, 0, 0, -1), (0, 1, -1, 0)]:
-        if respects_face(vec, sub, c4):
-            assert respects_face(vec, face, c4)
+        if respects_face(vec, sub):
+            assert respects_face(vec, face)
 
 
 def test_lift_identity_on_singleton_nodes(c4):
     face = perfect_matching_face(c4)
-    h = contract_face(face, singletons(4), 1, c4)
+    h = contract_face(face, singletons(4), 1)
     z = (1, -1, -1, 1)
-    assert lift_contracted_vector(z, face, h, c4) == z
+    assert lift_contracted_vector(z, face, h) == z
 
 
 def test_lift_prism_inserts_forced_interiors(prism, prism_one_connector_face):
     fam = LaminarFamily(6, singletons(6).masks + (v({1, 2, 3}), v({4, 5, 6})))
-    h = contract_face(prism_one_connector_face, fam, 3, prism)
+    h = contract_face(prism_one_connector_face, fam, 3)
     z = [0] * 9
     z[2], z[4] = 1, -1  # +(1,4) -(2,5)
-    y = lift_contracted_vector(z, prism_one_connector_face, h, prism)
+    y = lift_contracted_vector(z, prism_one_connector_face, h)
     # Forced interiors: +(2,3) -(1,3) in the first triangle, +(5,6) -(4,6)
     # in the second; ids (1,2)=1 (1,3)=2 (1,4)=3 (2,3)=4 (2,5)=5 (3,6)=6
     # (4,5)=7 (4,6)=8 (5,6)=9.
@@ -534,35 +559,35 @@ def test_lift_prism_inserts_forced_interiors(prism, prism_one_connector_face):
 
 def test_lift_rejects_unbalanced_vector(prism, prism_one_connector_face):
     fam = LaminarFamily(6, singletons(6).masks + (v({1, 2, 3}), v({4, 5, 6})))
-    h = contract_face(prism_one_connector_face, fam, 3, prism)
+    h = contract_face(prism_one_connector_face, fam, 3)
     z = [0] * 9
     z[2] = 1
     with pytest.raises(ValueError):
-        lift_contracted_vector(z, prism_one_connector_face, h, prism)
+        lift_contracted_vector(z, prism_one_connector_face, h)
 
 
 def test_lift_rejects_uncontractible_node(k6):
     face = perfect_matching_face(k6)
     fam = LaminarFamily(6, singletons(6).masks + (v({1, 2, 3, 4, 5}),))
-    h = contract_face(face, fam, 5, k6)
+    h = contract_face(face, fam, 5)
     z = [0] * 15
     # Edges (1,6) and (2,6) are ids 5 and 9 in K6's lexicographic order.
     assert k6.endpoints(5) == (1, 6) and k6.endpoints(9) == (2, 6)
     z[4], z[8] = 1, -1
     with pytest.raises(ValueError, match="contractibility"):
-        lift_contracted_vector(z, face, h, k6)
+        lift_contracted_vector(z, face, h)
 
 
 def test_goodness_initialization(c4):
     face = perfect_matching_face(c4)
-    fam = extend_to_maximal_laminar(singletons(4), tight_odd_sets(face, c4))
-    assert goodness_check(face, fam, 1, c4).ok
+    fam = extend_to_maximal_laminar(singletons(4), tight_odd_sets(face))
+    assert goodness_check(face, fam, 1).ok
 
 
 def test_goodness_detects_short_circuit(c4):
     face = perfect_matching_face(c4)
-    fam = extend_to_maximal_laminar(singletons(4), tight_odd_sets(face, c4))
-    report = goodness_check(face, fam, 4, c4)
+    fam = extend_to_maximal_laminar(singletons(4), tight_odd_sets(face))
+    report = goodness_check(face, fam, 4)
     assert not report.ok
     assert report.failed == "circuit"
     assert report.witness == (0, 1, 0, -1)
@@ -570,7 +595,7 @@ def test_goodness_detects_short_circuit(c4):
 
 def test_goodness_detects_non_maximal_family(c4):
     face = perfect_matching_face(c4)
-    report = goodness_check(face, singletons(4), 1, c4)
+    report = goodness_check(face, singletons(4), 1)
     assert not report.ok
     assert report.failed == "maximality"
     assert report.witness == v({1, 2, 3})
@@ -578,18 +603,18 @@ def test_goodness_detects_non_maximal_family(c4):
 
 def test_goodness_detects_uncontractible_member(k6):
     face = perfect_matching_face(k6)
-    fam = extend_to_maximal_laminar(singletons(6), tight_odd_sets(face, k6))
+    fam = extend_to_maximal_laminar(singletons(6), tight_odd_sets(face))
     assert v({1, 2, 3, 4, 5}) in fam.masks
-    report = goodness_check(face, fam, 5, k6)
+    report = goodness_check(face, fam, 5)
     assert not report.ok
     assert report.failed == "contractibility"
     assert report.witness == v({1, 2, 3, 4, 5})
 
 
 def test_goodness_singleton_face_at_full_threshold(c4):
-    face = Face((f({1, 4}),))
-    fam = extend_to_maximal_laminar(singletons(4), tight_odd_sets(face, c4))
-    report = goodness_check(face, fam, 2 * 4, c4)
+    face = Face(c4, (f({1, 4}),))
+    fam = extend_to_maximal_laminar(singletons(4), tight_odd_sets(face))
+    report = goodness_check(face, fam, 2 * 4)
     assert report.ok
     assert len(face) == 1
 
@@ -610,20 +635,20 @@ def test_subface_monotonicity_properties(prism):
     face = perfect_matching_face(prism)
     for seed in range(6):
         sub = min_weight_subface(face, random_weights(prism, seed))
-        assert set(tight_odd_sets(face, prism)) <= set(tight_odd_sets(sub, prism))
+        assert set(tight_odd_sets(face)) <= set(tight_odd_sets(sub))
         assert sub.support_mask & face.support_mask == sub.support_mask
 
 
 def test_contractibility_stable_under_subfaces_and_nesting(c6):
     # Subface stability and downward closure, spot-checked on C6 faces.
     face = perfect_matching_face(c6)
-    tights = tight_odd_sets(face, c6)
+    tights = tight_odd_sets(face)
     for seed in range(4):
         sub = min_weight_subface(face, random_weights(c6, seed))
         for s in tights:
-            if is_contractible(face, s, c6):
-                assert is_contractible(sub, s, c6)
+            if is_contractible(face, s):
+                assert is_contractible(sub, s)
         for s in tights:
             for t in tights:
-                if s & t == s != t and is_contractible(face, t, c6):
-                    assert is_contractible(face, s, c6)
+                if s & t == s != t and is_contractible(face, t):
+                    assert is_contractible(face, s)

@@ -18,10 +18,8 @@ from matchiso.engine import (
     make_chains_contractible,
 )
 from matchiso.faces import (
-    ChainLayer,
     bounded_circuit_vectors,
     contract_face,
-    contractible_mask,
     extend_to_maximal_laminar,
     is_contractible,
     lift_contracted_vector,
@@ -56,28 +54,23 @@ def nested_pairs(fam):
 def test_contractibility_matches_scan(n, seed):
     g, faces = faces_of(n, seed)
     for face in faces:
-        tight = tight_odd_sets(face, g)
+        tight = tight_odd_sets(face)
         for s in tight:
-            assert contractible_mask(face, s, g) == ref.contractible(face, g, s)
+            assert is_contractible(face, s) == ref.contractible(face, s)
         fam = extend_to_maximal_laminar(singletons(n), tight)
         for lo, hi in nested_pairs(fam):
-            layer = ChainLayer((lo, hi), 2, 2)
-            assert is_contractible(face, layer, g) == ref.contractible(face, g, hi, lo)
+            assert is_contractible(face, hi, lo) == ref.contractible(face, hi, lo)
 
 
 @pytest.mark.parametrize("n,seed", CASES)
 def test_layer_obligations_match_scan(n, seed):
     g, faces = faces_of(n, seed)
     for face in faces:
-        fam = extend_to_maximal_laminar(singletons(n), tight_odd_sets(face, g))
+        fam = extend_to_maximal_laminar(singletons(n), tight_odd_sets(face))
         for hi in fam.masks:
-            assert _layer_difference_vectors(face, (hi,), 1, 1, g) == ref.layer_difference_vectors(
-                face, (hi,), 1, 1, g
-            )
+            assert _layer_difference_vectors(face, hi) == ref.layer_difference_vectors(face, hi)
         for lo, hi in nested_pairs(fam):
-            assert _layer_difference_vectors(face, (lo, hi), 2, 2, g) == ref.layer_difference_vectors(
-                face, (lo, hi), 2, 2, g
-            )
+            assert _layer_difference_vectors(face, hi, lo) == ref.layer_difference_vectors(face, hi, lo)
 
 
 def outcome(fn, *args):
@@ -87,14 +80,14 @@ def outcome(fn, *args):
         return type(exc)
 
 
-def compare_lifts(face, fam, threshold, bound, g) -> tuple[int, int]:
+def compare_lifts(face, fam, threshold, bound) -> tuple[int, int]:
     """Lift the first circuit vectors of the contraction both ways; count
     the lifts that inserted interiors and the refusals."""
-    h = contract_face(face, fam, threshold, g)
+    h = contract_face(face, fam, threshold)
     lifted = refused = 0
     for z in bounded_circuit_vectors(h, bound)[:40]:
-        got = outcome(lift_contracted_vector, z, face, h, g)
-        assert got == outcome(ref.lift, z, face, h, g)
+        got = outcome(lift_contracted_vector, z, face, h)
+        assert got == outcome(ref.lift, z, face, h)
         lifted += isinstance(got, tuple) and got != z
         refused += got is ValueError
     return lifted, refused
@@ -108,14 +101,14 @@ def test_lifted_vectors_match_scan():
     for n, seed in CASES:
         g, faces = faces_of(n, seed)
         for face in faces:
-            fam = extend_to_maximal_laminar(singletons(n), tight_odd_sets(face, g))
+            fam = extend_to_maximal_laminar(singletons(n), tight_odd_sets(face))
             for threshold in sorted({s.bit_count() for s in fam.masks}):
-                counts.append(compare_lifts(face, fam, threshold, min(2 * threshold, 8), g))
+                counts.append(compare_lifts(face, fam, threshold, min(2 * threshold, 8)))
         state = initial_state(g)
         while state.threshold < n:
             th = state.threshold
-            _, f_mid = make_chains_contractible(state.face, state.laminar, th, g)
-            counts.append(compare_lifts(f_mid, state.laminar, 2 * th, 2 * th, g))
-            state = advance(state, g)
+            _, f_mid = make_chains_contractible(state.face, state.laminar, th)
+            counts.append(compare_lifts(f_mid, state.laminar, 2 * th, 2 * th))
+            state = advance(state)
     lifted, refused = map(sum, zip(*counts))
     assert lifted > 0 and refused > 0
