@@ -12,7 +12,6 @@ from .graphs import (
     enumerate_perfect_matchings,
     graph_from_edges,
     is_perfect_matching,
-    laminar_check,
     min_weight_perfect_matching,
     parse_graph,
 )

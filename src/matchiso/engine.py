@@ -28,7 +28,6 @@ from .graphs import (
     Graph,
     NoPerfectMatchingError,
     bit_positions,
-    min_weight_perfect_matching,
 )
 from .weights import (
     WeightFunction,
@@ -53,7 +52,7 @@ from .faces import (
     singletons,
     tight_odd_sets,
 )
-from .tutte import STATUS_MATCHED, determinant_search
+from .tutte import STATUS_MATCHED, STATUS_NO_PM, determinant_search
 
 
 class TrialsExhausted(RuntimeError):
@@ -154,20 +153,17 @@ def chain_phase_spans(longest: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
-def _disjoint_chains(group: list[int]) -> list[tuple[int, ...]]:
-    """Group nested vertex masks (each with at most one child) into
-    ascending chains; a set's parent is its smallest strict superset."""
-    gs = sorted(group, key=int.bit_count)
-    parent = {s: next((t for t in gs if s & t == s != t), None) for s in gs}
-    chains = []
-    for s in gs:
-        if any(t & s == t != s for t in gs):
-            continue
-        chain = [s]
-        while parent[chain[-1]] is not None:
-            chain.append(parent[chain[-1]])
-        chains.append(tuple(chain))
-    return chains
+def _disjoint_chains(fam: LaminarFamily, group: list[int]) -> list[tuple[int, ...]]:
+    """Ascending chains of the members in group, a size range of the family
+    in which each has at most one child, read off the family's parent map."""
+    inside = set(group)
+    up = {s: p for s in group if (p := fam.parent[s]) in inside}
+    has_child = set(up.values())
+    chains = [[s] for s in group if s not in has_child]
+    for chain in chains:
+        while chain[-1] in up:
+            chain.append(up[chain[-1]])
+    return [tuple(chain) for chain in chains]
 
 
 def _layer_difference_vectors(face: Face, hi: int, lo: int = 0) -> set[tuple[int, ...]]:
@@ -205,7 +201,7 @@ def make_chains_contractible(
     if chain_sets:
         rec, cur = remove_circuits(cur, fam, bound=2 * threshold, beta=threshold)
         records.append(rec)
-        chains = _disjoint_chains(chain_sets)
+        chains = _disjoint_chains(fam, chain_sets)
         longest = max(len(c) for c in chains)
         for t, span in chain_phase_spans(longest, g.n):
             obligations: set[tuple[int, ...]] = set()
@@ -275,8 +271,7 @@ def compose_log(records: tuple[PhaseRecord, ...], n: int, m: int) -> WeightFunct
     """
     effective = [r.weights for r in records if r.changed_face]
     if not effective:
-        w = WeightFunction(n, (1,) * m, provenance="constant")
-        return w
+        return WeightFunction(n, (1,) * m, provenance="constant")
     w = effective[0]
     for nxt in effective[1:]:
         padding = (n // 2) * max(nxt.values, default=0) + 1
@@ -324,17 +319,18 @@ def isolate_randomized(g: Graph, seed: int, max_trials: int = 64) -> IsolationCe
     The search's verdict is exact at every size (the blossom algorithm
     confirms that the matching it reads off the digits is the unique
     minimum), so the first trial it reports as matched is the first one
-    whose weights isolate.  Raises NoPerfectMatchingError when the graph
-    has no perfect matching.  Each failed trial happens with probability
-    at most 1/2, so exhausting max_trials has probability at most
-    2^-max_trials.
+    whose weights isolate.  The search's blossom call also settles a
+    vanishing determinant, so the first trial raises NoPerfectMatchingError
+    when the graph has no perfect matching.  Each failed trial happens with
+    probability at most 1/2, so exhausting max_trials has probability at
+    most 2^-max_trials.
     """
-    if min_weight_perfect_matching(g, (0,) * g.m) is None:
-        raise NoPerfectMatchingError(g)
     rng = random.Random(seed)
     for trial in range(1, max_trials + 1):
         w = random_weights(g, rng.randrange(1 << 63))
         outcome = determinant_search(g, w)
+        if outcome.status == STATUS_NO_PM:
+            raise NoPerfectMatchingError(g)
         if outcome.status != STATUS_MATCHED:
             continue
         record = PhaseRecord(

@@ -1,11 +1,13 @@
 """Faces of the perfect matching polytope and the machinery living on them.
 
-A face is represented extensionally by the set of perfect matchings whose
-hull it is; this is exact because every face of the polytope is integral.
-A face carries its graph, so every operation on it reads the matchings
-against the graph's own edge ids.  On top of that sit: support and tight
-odd sets, maximal laminar families and uncrossing, contractible tight sets,
-the node-weighted contraction multigraph, alternating circuits with their
+A face is represented extensionally by the perfect matchings whose hull it
+is, checked on construction; this is exact because every face of the
+polytope is integral.  A face carries its graph, so every operation on it
+reads the matchings against the graph's own edge ids.  On top of that sit:
+support and tight odd sets, maximal laminar families held as forests (each
+member points to the least member around it; one routine places a set,
+or finds a member it crosses), uncrossing, contractible tight sets, the
+node-weighted contraction multigraph, alternating circuits with their
 signed indicator vectors, the respect predicate, and the combined progress
 check (maximality + small-set contractibility + no short circuit in the
 contraction).
@@ -25,7 +27,7 @@ coordinate is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -39,7 +41,7 @@ from .graphs import (
     crossing,
     edge_mask,
     enumerate_perfect_matchings,
-    laminar_check,
+    is_perfect_matching,
 )
 from .weights import WeightFunction
 
@@ -62,6 +64,8 @@ class Face:
             raise ValueError(f"every matching of a face has n/2 edges, n = {n}")
         if min(canon) < 0 or max(canon) >> m:
             raise ValueError(f"a matching of a face names an edge outside 1..{m}")
+        if not all(is_perfect_matching(self.g, mm) for mm in canon):
+            raise ValueError("every matching of a face is a perfect matching of its graph")
         if canon != self.matchings:
             object.__setattr__(self, "matchings", canon)
 
@@ -173,13 +177,38 @@ def is_tight(face: Face, s: int) -> bool:
     return s.bit_count() % 2 == 1 and (cut * repunit & packed).bit_count() == len(face)
 
 
+def _place(parent: dict[int, int], s: int, insert: bool = True) -> int | None:
+    """Place the vertex mask s in the forest parent, which maps each member
+    to the least member strictly containing it (0 at a root), holds every
+    singleton and not s.  Returns a member crossing s, or None; then s joins
+    unless insert is False.  A climb from a vertex of s ends at a maximal
+    member inside s, whose parent is the least member around s unless it
+    crosses s; the climbs cost the children of s times the depth."""
+    tops, around, rest = [], 0, s
+    while rest:
+        x = rest & -rest
+        while (p := parent[x]) and p & s == p:
+            x = p
+        if p and p & s != s:
+            return p
+        tops.append(x)
+        around, rest = p, rest & ~x
+    if insert:
+        parent[s] = around
+        for x in tops:
+            parent[x] = s
+    return None
+
+
 @dataclass(frozen=True)
 class LaminarFamily:
-    """Pairwise non-crossing odd vertex sets containing every singleton,
-    held as vertex masks in (size, lexicographic) order."""
+    """Pairwise non-crossing odd vertex sets containing every singleton, as
+    vertex masks in (size, lexicographic) order and as a forest: parent maps
+    each member to the least member strictly containing it, 0 at a root."""
 
     n: int
     masks: tuple[int, ...]
+    parent: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.n
@@ -192,22 +221,18 @@ class LaminarFamily:
             _check_vertex_mask(s, n)
             if s.bit_count() % 2 == 0:
                 raise ValueError(f"laminar member {list(bit_positions(s))} has even size")
-        ok, pair = laminar_check(canon)
-        if not ok:
-            a, b = pair
-            raise ValueError(f"sets {list(bit_positions(a))} and {list(bit_positions(b))} cross")
+        parent = dict.fromkeys(canon[:n], 0)
+        for s in canon[n:]:
+            if (a := _place(parent, s)) is not None:
+                raise ValueError(f"sets {list(bit_positions(a))} and {list(bit_positions(s))} cross")
         object.__setattr__(self, "masks", canon)
+        object.__setattr__(self, "parent", parent)
 
     def maximal_at_most(self, size: int) -> tuple[int, ...]:
         """Masks of the inclusion-maximal members of size <= size, in vertex
-        order; with all singletons present they partition the vertex set.
-        Scanning from the largest, a member is maximal iff it misses those
-        kept (laminarity)."""
-        covered, out = 0, []
-        for s in reversed(self.masks):
-            if s.bit_count() <= size and not s & covered:
-                out.append(s)
-                covered |= s
+        order: those whose parent is 0 (a root) or larger than size.  With
+        all singletons present they partition the vertex set."""
+        out = [s for s, p in self.parent.items() if s.bit_count() <= size and (not p or p.bit_count() > size)]
         return tuple(sorted(out, key=lambda s: s & -s))
 
 
@@ -215,41 +240,32 @@ def singletons(n: int) -> LaminarFamily:
     return LaminarFamily(n, [1 << v for v in range(n)])
 
 
-def _crosses_any(s: int, masks: Iterable[int]) -> bool:
-    """Whether s crosses one of masks; graphs.crossing inlined, as this is
-    the inner loop of every maximality scan."""
-    for t in masks:
-        common = s & t
-        if common and common != s and common != t:
-            return True
-    return False
-
-
 def extend_to_maximal_laminar(base: LaminarFamily, candidates: Sequence[int]) -> LaminarFamily:
     """Greedily add candidate masks, taken in the order given ((size,
     lexicographic) as tight_odd_sets returns them), while laminarity is
     preserved; the result is a maximal laminar subset of the candidates
     containing the base."""
-    present = set(base.masks)
-    if not present <= set(candidates):
+    if not set(base.masks) <= set(candidates):
         raise ValueError("candidates must contain the base family")
-    chosen = list(base.masks)
+    parent = dict(base.parent)
     for s in candidates:
-        if s not in present and not _crosses_any(s, chosen):
-            chosen.append(s)
-    return LaminarFamily(base.n, chosen)
+        if s not in parent:
+            _check_vertex_mask(s, base.n)
+            _place(parent, s)
+    return LaminarFamily(base.n, list(parent))
 
 
-def _maximality_witness(tight: tuple[int, ...], fam: LaminarFamily) -> int | None:
-    """A member of fam that is not tight, or a tight set that fam could
-    take without crossing; None when fam is a maximal laminar subset of
-    the tight sets."""
-    tight_lookup = set(tight)
-    for s in fam.masks:
-        if s not in tight_lookup:
-            return s
-    members = set(fam.masks)
-    return next((t for t in tight if t not in members and not _crosses_any(t, fam.masks)), None)
+def _maximality_witness(face: Face, fam: LaminarFamily) -> int | None:
+    """A member of fam that is not tight for the face, or a tight set that
+    fam could take without crossing; None when fam is a maximal laminar
+    subset of the tight sets."""
+    if fam.n != face.g.n:
+        raise ValueError(f"a family on {fam.n} vertices for a graph on {face.g.n}")
+    tight = tight_odd_sets(face)
+    kept, parent = set(tight), fam.parent
+    return next((s for s in fam.masks if s not in kept), None) or next(
+        (t for t in tight if t not in parent and _place(parent, t, insert=False) is None), None
+    )
 
 
 def _reduce_row(row: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
@@ -275,8 +291,8 @@ def laminar_spans_tight_cuts(face: Face, fam: LaminarFamily) -> bool:
     Raises if fam is not a maximal laminar subset of tight(face).
     """
     g = face.g
+    bad = _maximality_witness(face, fam)
     tight = tight_odd_sets(face)
-    bad = _maximality_witness(tight, fam)
     if bad is not None:
         raise ValueError(f"not a maximal laminar family of tight sets: {list(bit_positions(bad))}")
     support = bit_positions(face.support_mask)
@@ -582,7 +598,7 @@ def goodness_check(face: Face, fam: LaminarFamily, threshold: int) -> GoodnessRe
 
     Returns which clause failed and a witness when not good.
     """
-    bad = _maximality_witness(tight_odd_sets(face), fam)
+    bad = _maximality_witness(face, fam)
     if bad is not None:
         return GoodnessReport(False, "maximality", bad)
     for s in fam.masks:

@@ -621,14 +621,3 @@ def crossing(s, t) -> bool:
     empty nor S nor T, for two vertex masks."""
     common = s & t
     return bool(common) and common != s and common != t
-
-
-def laminar_check(sets: Iterable) -> tuple[bool, tuple | None]:
-    """True iff pairwise non-crossing; otherwise also the first crossing pair
-    in scan order, for vertex masks."""
-    seq = list(sets)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if crossing(seq[i], seq[j]):
-                return False, (seq[i], seq[j])
-    return True, None

@@ -544,6 +544,28 @@ def test_library_has_one_set_type():
         assert not lines, f"{path.name} names frozenset on lines {lines}"
 
 
+def test_laminar_families_need_no_pairwise_scan():
+    """A laminar family is a forest placed by one routine: no module of
+    src/matchiso names the pairwise scans laminar_check or _crosses_any."""
+    import ast
+
+    src = Path(__file__).resolve().parent.parent / "src" / "matchiso"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.append((node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                names.append((node.lineno, node.attr))
+            elif isinstance(node, (ast.FunctionDef, ast.alias)):
+                names.append((node.lineno, node.name))
+        names = [(line, name) for line, name in names if name in ("laminar_check", "_crosses_any")]
+        assert not names, f"{path.name} names {names}"
+
+
 def test_face_operations_take_no_separate_graph():
     """A face carries its graph: no function of faces or engine takes a
     graph g beside a face or a state."""

@@ -105,6 +105,14 @@ def test_face_refuses_edges_outside_the_graph(c4, masks):
         Face(c4, masks)
 
 
+def test_face_refuses_masks_that_are_not_perfect_matchings(c4):
+    """Edges (1,2) and (1,4) are n/2 = 2 edges inside 1..4, but both meet
+    vertex 1, so they form no perfect matching, alone or beside one."""
+    for masks in [(0b0011,), (f({1, 4}), f({1, 2}))]:
+        with pytest.raises(ValueError, match="perfect matching"):
+            Face(c4, masks)
+
+
 def test_perfect_matching_face(c4, triangle):
     face = perfect_matching_face(c4)
     assert face.matchings == (f({1, 4}), f({2, 3}))

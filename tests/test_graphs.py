@@ -11,7 +11,6 @@ from matchiso import (
     enumerate_perfect_matchings,
     graph_from_edges,
     is_perfect_matching,
-    laminar_check,
     min_weight_perfect_matching,
     parse_graph,
 )
@@ -199,14 +198,6 @@ def test_crossing_on_masks_matches_set_definition():
         expected = bool(s & t) and bool(s - t) and bool(t - s)
         assert crossing(vertex_mask(s), vertex_mask(t)) == expected
         assert crossing(s, t) == expected
-
-
-def test_laminar_check_cases():
-    f = frozenset
-    assert laminar_check([f({1}), f({2}), f({1, 2, 3})]) == (True, None)
-    ok, pair = laminar_check([f({1, 2}), f({2, 3})])
-    assert not ok and pair == (f({1, 2}), f({2, 3}))
-    assert laminar_check([f({1, 2}), f({3, 4})]) == (True, None)
 
 
 def test_seeded_random_graph_roundtrip():
