@@ -30,6 +30,8 @@ from .weights import (
     random_weights,
 )
 from .faces import (
+    ContractionMultigraph,
+    contract_face,
     extend_to_maximal_laminar,
     goodness_check,
     min_weight_subface,
@@ -64,6 +66,9 @@ GRAPH_MAX_N = 40
 DECIDE_MAX_TRIALS = 1_000
 WEIGHTS_MAX_VALUES = 100_000  # weight values computed: edges times family indices
 WEIGHTS_MAX_BITS = 4_096  # bound on the padding n**e and on each concatenated weight
+# goodness --lambda runs the circuit census at lambda: it took 0.3-2.2 us per walk that _census_walks
+# counts, K16 at lambda 6 the most (4.3 million walks, 9.7 s, 349,440 vectors), so about 20 s at the limit
+CENSUS_MAX_WALKS = 10_000_000
 
 
 class _Domain(Exception):
@@ -219,11 +224,29 @@ def _cmd_face(args) -> dict:
     }
 
 
+def _census_walks(h: ContractionMultigraph, max_node_weight: int) -> int:
+    """A bound on the walk prefixes that bounded_circuit_vectors explores:
+    from each anchor edge, taken from its lower node, every walk within the
+    bound over any edge.  walks[r][x] counts the walks from node x of
+    node-weight at most r, the empty one included."""
+    wt, walks = h.node_weights, []
+    for r in range(max_node_weight + 1):
+        walks.append([1 + sum(walks[r - wt[y]][y] for _, y in nbrs if wt[y] <= r) for nbrs in h.adjacency])
+    return sum(walks[r][b] for a, b, _ in h.edges if (r := max_node_weight - wt[a] - wt[b]) >= 0)
+
+
 def _cmd_goodness(args) -> dict:
     g = _load_graph(args.graph)
     face = _face_from_args(args, g)
     fam = extend_to_maximal_laminar(singletons(g.n), tight_odd_sets(face))
-    report = goodness_check(face, fam, getattr(args, "lambda"))
+    lam = getattr(args, "lambda")
+    if 1 <= lam <= 2 * g.n:  # goodness_check refuses other thresholds, or reports before any census
+        walks = _census_walks(contract_face(face, fam, lam), lam)
+        if walks > CENSUS_MAX_WALKS:
+            raise SizeGuardExceeded(
+                f"circuit census of {walks} walks at lambda {lam} exceeds {CENSUS_MAX_WALKS}"
+            )
+    report = goodness_check(face, fam, lam)
     witness = report.witness
     if isinstance(witness, int):  # a vertex mask; a circuit witness is a vector
         witness = list(bit_positions(witness))

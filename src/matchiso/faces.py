@@ -1,9 +1,13 @@
 """Faces of the perfect matching polytope and the machinery living on them.
 
 A face is represented extensionally by the perfect matchings whose hull it
-is, checked on construction; this is exact because every face of the
-polytope is integral.  A face carries its graph, so every operation on it
-reads the matchings against the graph's own edge ids.  On top of that sit:
+is; this is exact because every face of the polytope is integral.  A face
+carries its graph, so every operation on it reads the matchings against the
+graph's own edge ids.  Outside input is checked when it enters:
+Face(g, masks) and LaminarFamily(n, masks) check what a caller hands them,
+and the faces and families derived here from checked ones are not checked
+again.  Every tightness test reads one memo on the face, the walk over its
+tight sets.  On top of that sit:
 support and tight odd sets, maximal laminar families held as forests (each
 member points to the least member around it; one routine places a set,
 or finds a member it crosses), uncrossing, contractible tight sets, the
@@ -50,7 +54,10 @@ from .weights import WeightFunction
 class Face:
     """A face of the perfect matching polytope of g: nonempty, deduplicated
     edge masks of g with n/2 edges each, in lexicographic order of their
-    sorted edge ids."""
+    sorted edge ids.  Face(g, masks) checks that each mask is a perfect
+    matching of g; the faces derived from a checked one are not checked
+    again.  The tight sets are walked once, and every tightness test reads
+    that memo."""
 
     g: Graph
     matchings: tuple[int, ...]
@@ -80,18 +87,6 @@ class Face:
         return acc
 
     @cached_property
-    def side_by_side(self) -> tuple[int, int, int]:
-        """(field, repunit, packed): matching i sits in field i of packed,
-        all fields the same whole number of bytes; repunit has a 1 at the
-        bottom of every field, so (x & field) * repunit copies an edge mask
-        x into every field."""
-        masks = self.matchings
-        size = (max(masks).bit_length() + 7) // 8 or 1
-        packed = int.from_bytes(b"".join(mm.to_bytes(size, "little") for mm in masks), "little")
-        repunit = int.from_bytes((b"\x01" + bytes(size - 1)) * len(masks), "little")
-        return (1 << 8 * size) - 1, repunit, packed
-
-    @cached_property
     def forcing_memo(self) -> dict[tuple[int, int], dict[int, tuple[int, ...]]]:
         """What forcing_groups has found on this face, keyed by (hi, lo)."""
         return {}
@@ -106,10 +101,15 @@ class Face:
         flips one vertex and XORs its incidence mask into the cut (Knuth,
         TAOCP 7.2.1.1).  Odd steps flip vertex 2 and leave the set even, so
         the walk takes two at a time.  Most sets already meet the first
-        matching more than once; the others take the test of is_tight."""
-        n, k = self.g.n, len(self)
-        field, repunit, packed = self.side_by_side
-        inc, first = self.g.incidence_masks, self.matchings[0]
+        matching more than once; for the others, (cut & field) * repunit
+        copies the cut into the field of each matching in packed, and the
+        set is tight iff each field keeps one bit of it."""
+        n, k, masks = self.g.n, len(self), self.matchings
+        size = (max(masks).bit_length() + 7) // 8 or 1
+        packed = int.from_bytes(b"".join(mm.to_bytes(size, "little") for mm in masks), "little")
+        repunit = int.from_bytes((b"\x01" + bytes(size - 1)) * k, "little")
+        field = (1 << 8 * size) - 1
+        inc, first = self.g.incidence_masks, masks[0]
         full = (1 << n) - 1
         s, cut, out = 1, inc[0], []
         for i in range(0, 1 << (n - 1), 2):
@@ -121,13 +121,26 @@ class Face:
                 out += (s, full ^ s)
         return tuple(_set_sorted(out))
 
+    @cached_property
+    def _tight_set(self) -> set[int]:
+        """The sets of tight_odd_sets, for membership tests."""
+        return set(tight_odd_sets(self))
+
+
+def _trusted(cls, **fields):
+    """The frozen dataclass cls from fields that are already checked and
+    canonical, being derived from checked objects: no constructor check."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
 
 def perfect_matching_face(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> Face:
     """The whole polytope: hull of all perfect matchings."""
     matchings = enumerate_perfect_matchings(g, max_vertices)
     if not matchings:
         raise NoPerfectMatchingError(g)
-    return Face(g, matchings)
+    return _trusted(Face, g=g, matchings=matchings)
 
 
 def min_weight_subface(face: Face, w: WeightFunction) -> Face:
@@ -137,7 +150,7 @@ def min_weight_subface(face: Face, w: WeightFunction) -> Face:
     best = min(totals)
     if totals.count(best) == len(totals):
         return face
-    return Face(face.g, tuple(mm for mm, t in zip(face.matchings, totals) if t == best))
+    return _trusted(Face, g=face.g, matchings=tuple(mm for mm, t in zip(face.matchings, totals) if t == best))
 
 
 def _check_vertex_mask(s: int, n: int) -> None:
@@ -167,14 +180,9 @@ def tight_odd_sets(face: Face, max_vertices: int = DEFAULT_SIZE_GUARD) -> tuple[
 
 
 def is_tight(face: Face, s: int) -> bool:
-    """Tightness of a vertex mask.  A perfect matching crosses an odd set an
-    odd number of times, so an odd set is tight iff its cut meets the
-    face's matchings len(face) times in all."""
-    g = face.g
-    _check_vertex_mask(s, g.n)
-    field, repunit, packed = face.side_by_side
-    cut = g.delta_mask(s) & field
-    return s.bit_count() % 2 == 1 and (cut * repunit & packed).bit_count() == len(face)
+    """Tightness of a vertex mask, read from the face's tight sets."""
+    _check_vertex_mask(s, face.g.n)
+    return s in face._tight_set
 
 
 def _place(parent: dict[int, int], s: int, insert: bool = True) -> int | None:
@@ -244,15 +252,17 @@ def extend_to_maximal_laminar(base: LaminarFamily, candidates: Sequence[int]) ->
     """Greedily add candidate masks, taken in the order given ((size,
     lexicographic) as tight_odd_sets returns them), while laminarity is
     preserved; the result is a maximal laminar subset of the candidates
-    containing the base."""
+    containing the base.  Raises on a candidate that is no odd vertex set."""
     if not set(base.masks) <= set(candidates):
         raise ValueError("candidates must contain the base family")
     parent = dict(base.parent)
     for s in candidates:
         if s not in parent:
             _check_vertex_mask(s, base.n)
+            if s.bit_count() % 2 == 0:
+                raise ValueError(f"laminar member {list(bit_positions(s))} has even size")
             _place(parent, s)
-    return LaminarFamily(base.n, list(parent))
+    return _trusted(LaminarFamily, n=base.n, masks=tuple(_set_sorted(parent)), parent=parent)
 
 
 def _maximality_witness(face: Face, fam: LaminarFamily) -> int | None:
@@ -261,10 +271,9 @@ def _maximality_witness(face: Face, fam: LaminarFamily) -> int | None:
     subset of the tight sets."""
     if fam.n != face.g.n:
         raise ValueError(f"a family on {fam.n} vertices for a graph on {face.g.n}")
-    tight = tight_odd_sets(face)
-    kept, parent = set(tight), fam.parent
+    kept, parent = face._tight_set, fam.parent
     return next((s for s in fam.masks if s not in kept), None) or next(
-        (t for t in tight if t not in parent and _place(parent, t, insert=False) is None), None
+        (t for t in tight_odd_sets(face) if t not in parent and _place(parent, t, insert=False) is None), None
     )
 
 
@@ -366,14 +375,11 @@ def forcing_groups(face: Face, hi: int, lo: int = 0) -> dict[int, tuple[int, ...
     return groups
 
 
-def _tight_set_groups(face: Face, s: int) -> dict[int, tuple[int, ...]]:
-    """forcing_groups of the set s, which must be tight: s is odd and every
-    matching of the face crosses it in one edge, so every group key is one
-    edge."""
-    groups = forcing_groups(face, s)
-    if s.bit_count() % 2 == 0 or any(key.bit_count() != 1 for key in groups):
-        raise ValueError(f"set {list(bit_positions(s))} is not tight for the face")
-    return groups
+def _check_tight(face: Face, sets: Iterable[int]) -> None:
+    """Raise unless each of the sets is tight for the face."""
+    for s in sets:
+        if s not in face._tight_set:
+            raise ValueError(f"set {list(bit_positions(s))} is not tight for the face")
 
 
 def is_contractible(face: Face, hi: int, lo: int = 0) -> bool:
@@ -389,15 +395,10 @@ def is_contractible(face: Face, hi: int, lo: int = 0) -> bool:
         _check_vertex_mask(lo, n)
         if lo & hi != lo or lo == hi:
             raise ValueError("the inner set of a layer must lie strictly inside the outer one")
-        for s in (lo, hi):
-            if not is_tight(face, s):
-                raise ValueError(f"set {list(bit_positions(s))} is not tight for the face")
-        groups = forcing_groups(face, hi, lo)
     elif not hi & (hi - 1):
         return True
-    else:
-        groups = _tight_set_groups(face, hi)
-    return all(len(inners) == 1 for inners in groups.values())
+    _check_tight(face, (lo, hi) if lo else (hi,))
+    return all(len(inners) == 1 for inners in forcing_groups(face, hi, lo).values())
 
 
 @dataclass(frozen=True)
@@ -435,11 +436,7 @@ def contract_face(face: Face, fam: LaminarFamily, threshold: int) -> Contraction
     g = face.g
     if not (1 <= threshold <= 2 * g.n):
         raise ValueError(f"threshold must be in 1..{2 * g.n}")
-    # Every perfect matching covers a vertex once: singletons are tight on
-    # every face and are not tested.
-    for s in fam.masks[fam.n :]:
-        if not is_tight(face, s):
-            raise ValueError(f"laminar member {list(bit_positions(s))} is not tight for the face")
+    _check_tight(face, fam.masks)
     erased = 0
     for s in fam.masks:
         if s.bit_count() > threshold:
@@ -474,7 +471,9 @@ def bounded_circuit_vectors(h: ContractionMultigraph, max_node_weight: int) -> t
     A circuit's node-weight counts the tail vertex of each step, with
     multiplicities, so every step consumes at least one unit of budget and
     the walks explored have length at most the bound.  Each circuit has a
-    rotation starting at its minimum edge id, so the search anchors there.
+    rotation starting at its minimum edge id, so the search anchors there,
+    and walks the anchor from its lower node only: read backwards, a closed
+    walk of even length has the same vector and node-weight.
     """
     weights = h.node_weights
     adj = h.adjacency
@@ -499,12 +498,11 @@ def bounded_circuit_vectors(h: ContractionMultigraph, max_node_weight: int) -> t
             vec[idx] -= sign
 
     for a, b, eid in h.edges:
-        for start, nxt in ((a, b), (b, a)):
-            used = weights[start] + weights[nxt]
-            if used <= max_node_weight:
-                vec[eid - 1] += 1
-                dfs(eid, start, nxt, 1, used)
-                vec[eid - 1] -= 1
+        used = weights[a] + weights[b]
+        if used <= max_node_weight:
+            vec[eid - 1] += 1
+            dfs(eid, a, b, 1, used)
+            vec[eid - 1] -= 1
     return tuple(sorted(results))
 
 
@@ -554,6 +552,7 @@ def lift_contracted_vector(z: Sequence[int], face: Face, h: ContractionMultigrap
         raise ValueError(f"vector touches edge {outside[0]} outside the contraction")
     if zmask & ~face.support_mask:
         raise ValueError("vector support must lie inside the face support")
+    _check_tight(face, h.nodes)
     y = list(z)
     for sm in h.nodes:
         if sm.bit_count() == 1:
@@ -561,7 +560,7 @@ def lift_contracted_vector(z: Sequence[int], face: Face, h: ContractionMultigrap
         boundary = bit_positions(g.delta_mask(sm) & zmask)
         if sum(z[eid - 1] for eid in boundary):
             raise ValueError(f"vector is unbalanced at node {list(bit_positions(sm))}")
-        groups = _tight_set_groups(face, sm)
+        groups = forcing_groups(face, sm)
         for eid in boundary:
             inners = groups.get(1 << (eid - 1))
             if inners is None:

@@ -51,6 +51,7 @@ from conftest import (
     random_graph,
     random_graph_with_pm,
 )
+import reference_census
 from reference_search import per_edge_search
 
 EXPECTED_CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
@@ -397,14 +398,17 @@ def test_criterion_11_circuit_census(corpus8_with_pm):
     started = time.perf_counter()
     censuses = 0
     worst = 0
-    for g in corpus8_with_pm:
+    for i, g in enumerate(corpus8_with_pm):
         bound_total = g.n**17
         state = initial_state(g)
         while True:
             lam = state.threshold
             h = contract_face(state.face, state.laminar, lam)
             assert bounded_circuit_vectors(h, lam) == ()
-            census = len(bounded_circuit_vectors(h, 2 * lam))
+            vectors = bounded_circuit_vectors(h, 2 * lam)
+            if i % 5 == 0:  # the census that walks both orientations, on a fifth of the graphs
+                assert vectors == reference_census.bounded_circuit_vectors(h, 2 * lam)
+            census = len(vectors)
             assert census <= bound_total
             worst = max(worst, census)
             censuses += 1

@@ -511,6 +511,54 @@ def test_graph_and_trials_guards_hold_at_their_limits(capsys, tmp_path, c4_file)
             assert out == "" and f"{GRAPH_MAX_N} vertices" in err
 
 
+def _complete_graph_file(tmp_path, n):
+    edges = [f"{u} {v}" for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    path = tmp_path / f"k{n}.txt"
+    path.write_text("\n".join([f"{n} {len(edges)}", *edges]) + "\n")
+    return str(path)
+
+
+def test_goodness_refuses_a_census_past_its_limit(capsys, tmp_path, monkeypatch):
+    """K12 at lambda 8 counts 61,111,105 walks, so the census never starts."""
+    import matchiso.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the census guard let the census start")
+
+    monkeypatch.setattr(cli, "goodness_check", refuse)
+    code, out, err = run(capsys, "goodness", "--graph", _complete_graph_file(tmp_path, 12), "--lambda", "8")
+    assert code == 3 and out == ""
+    assert "61111105 walks" in err and f"exceeds {cli.CENSUS_MAX_WALKS}" in err
+
+
+def test_goodness_census_guard_admits_its_limit(capsys, tmp_path, monkeypatch):
+    import matchiso.cli as cli
+
+    counted = []
+    census_walks = cli._census_walks
+
+    def count(h, bound):
+        counted.append(census_walks(h, bound))
+        return counted[-1]
+
+    monkeypatch.setattr(cli, "_census_walks", count)
+    argv = ("goodness", "--graph", _complete_graph_file(tmp_path, 6), "--lambda", "6")
+    assert run(capsys, *argv)[0] == 0 and counted[0] > 1
+    for limit, expected in ((counted[0], 0), (counted[0] - 1, 3)):
+        monkeypatch.setattr(cli, "CENSUS_MAX_WALKS", limit)
+        assert run(capsys, *argv)[0] == expected
+
+
+def test_census_walks_counts_the_walks_of_a_single_edge():
+    """One edge of weight-1 nodes: from the anchor, the search walks back
+    and forth over it, one walk prefix for each length 0..8 at bound 10."""
+    from matchiso.cli import _census_walks
+    from matchiso.faces import ContractionMultigraph
+
+    h = ContractionMultigraph(1, (1, 2), ((0, 1, 1),))
+    assert [_census_walks(h, bound) for bound in (1, 2, 10)] == [0, 1, 9]
+
+
 def test_readme_names_the_cli_verbs():
     """The README's usage block names exactly the CLI's verbs, and every
     verb in its size-guard table exists."""
@@ -581,3 +629,37 @@ def test_face_operations_take_no_separate_graph():
                 assert not ("g" in params and params & {"face", "state"}), (
                     f"{name}:{node.lineno} {node.name} takes g beside a face or a state"
                 )
+
+
+def test_faces_checks_its_input_once():
+    """Input is checked when it enters and tightness read from one memo: in
+    faces.py only Face.__post_init__ calls is_perfect_matching, only
+    singletons calls LaminarFamily(, nothing calls Face(, and only
+    Face._tight_masks builds the packed layout of the matchings."""
+    import ast
+
+    path = Path(__file__).resolve().parent.parent / "src" / "matchiso" / "faces.py"
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.append((scope, name, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    allowed = {
+        "is_perfect_matching": {"Face.__post_init__"},
+        "LaminarFamily": {"singletons"},
+        "Face": set(),
+        "to_bytes": {"Face._tight_masks"},
+        "from_bytes": {"Face._tight_masks"},
+    }
+    wrong = [call for call in calls if call[1] in allowed and call[0] not in allowed[call[1]]]
+    assert not wrong, f"faces.py calls {wrong}"
+    assert {name for _, name, _ in calls} >= set(allowed) - {"Face"}

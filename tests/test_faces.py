@@ -34,7 +34,8 @@ from matchiso.faces import (
 from matchiso.graphs import bit_positions, edge_mask, vertex_mask
 from matchiso.weights import random_weights
 
-from conftest import random_graph_with_pm
+import reference_census
+from conftest import complete_graph, random_graph_with_pm
 
 f = edge_mask  # a matching: the mask of its edge ids
 v = vertex_mask  # a vertex set: the mask of its labels
@@ -517,6 +518,29 @@ def test_bounded_circuit_vectors_parallel_pair(c4):
     assert bounded_circuit_vectors(h, 3) == ()
 
 
+@st.composite
+def multigraphs(draw):
+    """Contraction multigraphs with up to five nodes of one to three
+    vertices each and up to eight edges, parallel edges allowed."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    nodes, low = [], 0
+    for size in sizes:
+        nodes.append(((1 << size) - 1) << low)
+        low += size
+    pairs = st.tuples(st.integers(0, len(nodes) - 1), st.integers(0, len(nodes) - 1)).filter(lambda ab: ab[0] != ab[1])
+    drawn = draw(st.lists(pairs, min_size=1, max_size=8))
+    edges = tuple((min(a, b), max(a, b), eid) for eid, (a, b) in enumerate(drawn, start=1))
+    return ContractionMultigraph(len(edges), tuple(nodes), edges)
+
+
+@given(multigraphs(), st.integers(1, 10))
+def test_one_orientation_census_matches_both_orientations(h, bound):
+    """Walking each anchor edge from its lower node finds what walking it
+    both ways finds: a closed walk read backwards keeps its vector and its
+    node-weight."""
+    assert bounded_circuit_vectors(h, bound) == reference_census.bounded_circuit_vectors(h, bound)
+
+
 def test_respects_face_whole_graph(c4):
     face = perfect_matching_face(c4)
     cycle_vec = (1, -1, -1, 1)
@@ -660,3 +684,58 @@ def test_contractibility_stable_under_subfaces_and_nesting(c6):
             for t in tights:
                 if s & t == s != t and is_contractible(face, t):
                     assert is_contractible(face, s)
+
+
+def test_derived_faces_and_families_equal_their_checked_twins(monkeypatch, petersen):
+    """The faces and families the engine derives skip the constructors'
+    checks.  On every state of the derand walk, each equals what the
+    checked constructor builds from the same data, a subface holds exactly
+    the minimizers of its parent, and tightness read from the memo equals a
+    direct count of crossing edges for every odd set."""
+    import matchiso.engine as engine
+
+    calls = []
+
+    def record(fn):
+        def recorded(*args):
+            calls.append((args, fn(*args)))
+            return calls[-1][1]
+        return recorded
+
+    for name in ("perfect_matching_face", "min_weight_subface", "extend_to_maximal_laminar"):
+        monkeypatch.setattr(engine, name, record(getattr(engine, name)))
+    rng = random.Random(18)
+    graphs = [random_graph_with_pm(n, p, rng) for n in (4, 6, 8, 10) for p in (0.2, 0.35, 0.5, 0.65) for _ in "abc"]
+    for g in graphs + [complete_graph(8), petersen]:
+        engine.isolate_derandomized(g)
+    faces, families = 0, 0
+    for args, out in calls:
+        if isinstance(out, LaminarFamily):
+            twin = LaminarFamily(out.n, out.masks)
+            assert twin == out and twin.parent == out.parent
+            families += 1
+            continue
+        assert Face(out.g, out.matchings) == out
+        if isinstance(args[0], Face):
+            parent, w = args
+            totals = [w.matching_weight(mm) for mm in parent.matchings]
+            assert out == Face(parent.g, [mm for mm, t in zip(parent.matchings, totals) if t == min(totals)])
+        if out is args[0]:
+            continue
+        faces += 1
+        g = out.g
+        for s in range(1, 1 << g.n):
+            if s.bit_count() % 2:
+                direct = all((g.delta_mask(s) & mm).bit_count() == 1 for mm in out.matchings)
+                assert is_tight(out, s) == direct
+    assert faces >= 50 and families >= 100
+
+
+def test_tight_sets_are_read_against_each_face_graph():
+    """One matching mask on two graphs: {1,2,3} is tight where one matching
+    edge leaves it and not where three do, so each face keeps its own memo."""
+    one = Face(graph_from_edges(6, [(1, 2), (3, 4), (5, 6)]), (0b111,))
+    other = Face(graph_from_edges(6, [(1, 4), (2, 5), (3, 6)]), (0b111,))
+    assert is_tight(one, v({1, 2, 3})) and not is_tight(other, v({1, 2, 3}))
+    for face in (one, other):
+        assert list(tight_odd_sets(face)) == tight_sets_oracle(face)

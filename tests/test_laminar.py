@@ -52,6 +52,15 @@ def test_extension_refuses_candidates_outside_the_vertices():
             extend_to_maximal_laminar(base, base.masks + (bad,))
 
 
+def test_extension_refuses_an_even_candidate():
+    """Each new candidate's parity is checked, whether it would join the
+    family ({1, 2}) or cross a member ({3, 4} crosses {1, 2, 3})."""
+    base = LaminarFamily(4, singletons(4).masks + (v({1, 2, 3}),))
+    for even in (v({1, 2}), v({3, 4}), v({1, 2, 3, 4})):
+        with pytest.raises(ValueError, match="even size"):
+            extend_to_maximal_laminar(base, base.masks + (even,))
+
+
 def test_maximality_refuses_a_family_of_another_size():
     face = perfect_matching_face(cycle_graph(4))
     for n in (2, 6):
