@@ -6,6 +6,7 @@ pipelines.
 """
 
 from .graphs import (
+    EdgeVector,
     Graph,
     ParseError,
     SizeGuardExceeded,

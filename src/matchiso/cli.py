@@ -60,14 +60,21 @@ EXIT_SIZE_GUARD = 3
 EXIT_DOMAIN = 4
 
 # Size guards (exit 3) on work that grows with a bare number in the input.
-# search, decide and isolate build n x n matrices; search took 22 s at n = 40 (CPython 3.11, 2-CPU Linux host)
+# search, decide and isolate build n x n matrices; search --random-weights took 22 s at n = 40 on a planted
+# graph of density 0.3 (CPython 3.11, 2-CPU Linux host)
 GRAPH_MAX_N = 40
+# search --weights: the determinant has at most about n * max(w) bits, as each Pfaffian term has n/2 factors
+# 2^w; at this estimate a planted n = 40 graph of density 0.3 with every weight 500 took 20.8 s, and C4 with
+# weights 5000,1,5000,1 took 0.14 s
+SEARCH_MAX_DET_BITS = 20_000
 # decide runs every trial on a graph with no perfect matching: 1,000 took 1.1 s at n = 40
 DECIDE_MAX_TRIALS = 1_000
 WEIGHTS_MAX_VALUES = 100_000  # weight values computed: edges times family indices
 WEIGHTS_MAX_BITS = 4_096  # bound on the padding n**e and on each concatenated weight
 # goodness --lambda runs the circuit census at lambda: it took 0.3-2.2 us per walk that _census_walks
-# counts, K16 at lambda 6 the most (4.3 million walks, 9.7 s, 349,440 vectors), so about 20 s at the limit
+# counts, K16 at lambda 6 the most (4.3 million walks, 9.7 s, 349,440 vectors), so about 20 s at the limit.
+# Peak RSS of the whole command with the vectors as EdgeVectors (as dense m-tuples before): K14 at lambda 6
+# 62.1 MB (123.7), K16 at lambda 6 432.9 MB (486.4); K16 peaks as high at lambda 1 (433.0 MB), in its face
 CENSUS_MAX_WALKS = 10_000_000
 
 
@@ -144,6 +151,12 @@ def _cmd_search(args) -> dict:
         w = random_weights(g, args.seed)
     else:
         w = _parse_weight_list(args.weights, g)
+        bits = g.n * max(w.values, default=0)
+        if bits > SEARCH_MAX_DET_BITS:
+            raise SizeGuardExceeded(
+                f"--weights may give a determinant of {bits} bits (n times the largest weight), "
+                f"which exceeds {SEARCH_MAX_DET_BITS}"
+            )
     outcome = determinant_search(g, w)
     if outcome.status == STATUS_NO_PM:
         raise _Domain("no perfect matching")
@@ -248,8 +261,10 @@ def _cmd_goodness(args) -> dict:
             )
     report = goodness_check(face, fam, lam)
     witness = report.witness
-    if isinstance(witness, int):  # a vertex mask; a circuit witness is a vector
+    if isinstance(witness, int):  # a vertex mask
         witness = list(bit_positions(witness))
+    elif witness is not None:  # a circuit EdgeVector, the report's one dense vector
+        witness = [dict(witness.items()).get(j, 0) for j in range(1, g.m + 1)]
     return {"good": report.ok, "failed": report.failed, "witness": witness}
 
 

@@ -24,6 +24,7 @@ from itertools import combinations
 
 from .graphs import (
     DEFAULT_SIZE_GUARD,
+    EdgeVector,
     EngineError,
     Graph,
     NoPerfectMatchingError,
@@ -39,7 +40,6 @@ from .faces import (
     Face,
     LaminarFamily,
     bounded_circuit_vectors,
-    canonical_sign,
     contract_face,
     extend_to_maximal_laminar,
     forcing_groups,
@@ -93,11 +93,11 @@ def ceil_log2(n: int) -> int:
 
 
 def _find_member(vectors, n: int, m: int) -> tuple[int, WeightFunction]:
-    """Smallest family member separating the obligation vectors, from one
-    scan up to the family lemma's bound n^3 per vector (at least 7)."""
-    vecs = sorted(set(canonical_sign(v) for v in vectors))
+    """Smallest family member separating the canonical obligation vectors,
+    from one scan up to the family lemma's bound n^3 per vector (at least 7)."""
+    vecs = set(vectors)
     t_max = max(7, n**3 * len(vecs))
-    found = separating_weights(vecs, n, t_max, m=m)
+    found = separating_weights(vecs, n, m, t_max)
     if found is None:
         raise EngineError(f"no separating family member up to {t_max}")
     return found
@@ -166,16 +166,15 @@ def _disjoint_chains(fam: LaminarFamily, group: list[int]) -> list[tuple[int, ..
     return [tuple(chain) for chain in chains]
 
 
-def _layer_difference_vectors(face: Face, hi: int, lo: int = 0) -> set[tuple[int, ...]]:
+def _layer_difference_vectors(face: Face, hi: int, lo: int = 0) -> set[EdgeVector]:
     """Obligations that make the layer hi - lo of two nested chain sets
     (lo = 0: the set hi) contractible: for each boundary pair that the
     face's matchings use, the differences of the distinct interior
-    matchings that the face still allows."""
-    m = face.g.m
-    out: set[tuple[int, ...]] = set()
+    matchings a, b that the face still allows."""
+    out: set[EdgeVector] = set()
     for inners in forcing_groups(face, hi, lo).values():
         for a, b in combinations(inners, 2):
-            out.add(canonical_sign([(a >> i & 1) - (b >> i & 1) for i in range(m)]))
+            out.add(EdgeVector.of({j: 1 if a >> (j - 1) & 1 else -1 for j in bit_positions(a ^ b)}))
     return out
 
 
@@ -204,7 +203,7 @@ def make_chains_contractible(
         chains = _disjoint_chains(fam, chain_sets)
         longest = max(len(c) for c in chains)
         for t, span in chain_phase_spans(longest, g.n):
-            obligations: set[tuple[int, ...]] = set()
+            obligations: set[EdgeVector] = set()
             for chain in chains:
                 # Layers hi - lo: lo is chain[p - 1] (none for p = 0), hi is
                 # chain[p] or one of the span sets above it.

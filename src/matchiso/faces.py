@@ -23,9 +23,9 @@ public functions that take a mask from their caller check that it names a
 nonempty set of the graph's vertices.  A matching is an int edge mask, bit
 j - 1 for edge j.  What a face memoizes (its tight sets, and the forcing
 groups of each set or layer, keyed by the vertex masks (hi, lo)) lives on
-the face.  Edge vectors are integer tuples of length m indexed by edge
-id - 1, and circuit vectors are canonicalized so their first nonzero
-coordinate is positive.
+the face.  A signed edge vector (a circuit vector, or its lift) is an
+EdgeVector: its support edge mask and the nonzero coefficients in edge-id
+order, canonical with a positive first coefficient.
 """
 
 from __future__ import annotations
@@ -37,12 +37,14 @@ from typing import Iterable, Sequence
 
 from .graphs import (
     DEFAULT_SIZE_GUARD,
+    EdgeVector,
     EngineError,
     Graph,
     NoPerfectMatchingError,
     SizeGuardExceeded,
     bit_positions,
     crossing,
+    dense_sorted,
     edge_mask,
     enumerate_perfect_matchings,
     is_perfect_matching,
@@ -145,7 +147,10 @@ def perfect_matching_face(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> F
 
 def min_weight_subface(face: Face, w: WeightFunction) -> Face:
     """Subface of the matchings attaining minimum total weight under w; the
-    face itself, with what is memoized on it, when they all do."""
+    face itself, with what is memoized on it, when they all do.  Raises
+    when w has another edge count than the face's graph."""
+    if w.m != face.g.m:
+        raise ValueError(f"{w.m} weights for a graph with {face.g.m} edges")
     totals = [w.matching_weight(mm) for mm in face.matchings]
     best = min(totals)
     if totals.count(best) == len(totals):
@@ -454,60 +459,53 @@ def contract_face(face: Face, fam: LaminarFamily, threshold: int) -> Contraction
     return ContractionMultigraph(g.m, nodes, tuple(edges))
 
 
-def canonical_sign(vec: Sequence[int]) -> tuple[int, ...]:
-    """Negate if needed so the first nonzero coordinate is positive."""
-    for x in vec:
-        if x > 0:
-            return tuple(vec)
-        if x < 0:
-            return tuple(-y for y in vec)
-    return tuple(vec)
-
-
-def bounded_circuit_vectors(h: ContractionMultigraph, max_node_weight: int) -> tuple[tuple[int, ...], ...]:
+def bounded_circuit_vectors(h: ContractionMultigraph, max_node_weight: int) -> tuple[EdgeVector, ...]:
     """All distinct canonical indicator vectors of alternating circuits with
-    node-weight at most the bound, found by exhaustive bounded walk search.
+    node-weight at most the bound, found by exhaustive bounded walk search,
+    in the order of their dense m-tuples.
 
     A circuit's node-weight counts the tail vertex of each step, with
     multiplicities, so every step consumes at least one unit of budget and
     the walks explored have length at most the bound.  Each circuit has a
     rotation starting at its minimum edge id, so the search anchors there,
     and walks the anchor from its lower node only: read backwards, a closed
-    walk of even length has the same vector and node-weight.
+    walk of even length has the same vector and node-weight.  A walk sums
+    its steps in one scratch list and carries the support of the sum.
     """
     weights = h.node_weights
     adj = h.adjacency
-    results: set[tuple[int, ...]] = set()
+    results: set[EdgeVector] = set()
     vec = [0] * h.m
 
-    def dfs(anchor: int, start: int, cur: int, pos: int, used: int):
+    def dfs(anchor: int, start: int, cur: int, pos: int, used: int, support: int):
         # used counts the tails of the edges taken so far and of the next
         # one, out of cur; each call is entered only within the bound.
         sign = 1 if pos % 2 == 0 else -1
-        can_close = pos % 2 == 1
         for eid, nxt in adj[cur]:
             if eid < anchor:
                 continue
             idx = eid - 1
-            vec[idx] += sign
-            if can_close and nxt == start and any(vec):
-                results.add(canonical_sign(vec))
+            c = vec[idx] = vec[idx] + sign
+            now = support ^ (1 << idx) if c == sign or c == 0 else support  # left 0, or returned to it
+            if sign < 0 and nxt == start and now:  # a walk closes after an odd step
+                co = tuple(filter(None, vec))  # canonical: the first coefficient positive
+                results.add(EdgeVector(now, co if co[0] > 0 else tuple(-x for x in co)))
             nu = used + weights[nxt]
             if nu <= max_node_weight:
-                dfs(anchor, start, nxt, pos + 1, nu)
-            vec[idx] -= sign
+                dfs(anchor, start, nxt, pos + 1, nu, now)
+            vec[idx] = c - sign
 
     for a, b, eid in h.edges:
         used = weights[a] + weights[b]
         if used <= max_node_weight:
-            vec[eid - 1] += 1
-            dfs(eid, a, b, 1, used)
-            vec[eid - 1] -= 1
-    return tuple(sorted(results))
+            vec[eid - 1] = 1
+            dfs(eid, a, b, 1, used, 1 << (eid - 1))
+            vec[eid - 1] = 0
+    return tuple(dense_sorted(results, h.m))
 
 
 def respects_face(
-    y: Sequence[int],
+    y: EdgeVector,
     face: Face,
     contraction: ContractionMultigraph | None = None,
 ) -> bool:
@@ -515,11 +513,10 @@ def respects_face(
     tight cut (restricted, in contraction context, to tight sets that are
     unions of contraction nodes; spanning makes that restriction exact)."""
     g = face.g
-    if len(y) != g.m:
-        raise ValueError(f"vector length {len(y)} does not match edge count {g.m}")
-    ymask = edge_mask(j for j, c in enumerate(y, start=1) if c)
-    if ymask & ~face.support_mask:
+    y.check(g.m)
+    if y.support & ~face.support_mask:
         return False
+    coeff = dict(y.items())
     masks = tight_odd_sets(face)
     if contraction is not None:
         # The nodes partition the vertices: a union of nodes is a set that
@@ -527,14 +524,15 @@ def respects_face(
         nodes = contraction.nodes
         masks = [t for t in masks if not any(nm & t and nm & t != nm for nm in nodes)]
     for tmask in masks:
-        if sum(y[j - 1] for j in bit_positions(g.delta_mask(tmask) & ymask)):
+        if sum(coeff[j] for j in bit_positions(g.delta_mask(tmask) & y.support)):
             return False
     return True
 
 
-def lift_contracted_vector(z: Sequence[int], face: Face, h: ContractionMultigraph) -> tuple[int, ...]:
+def lift_contracted_vector(z: EdgeVector, face: Face, h: ContractionMultigraph) -> EdgeVector:
     """Extend a balanced vector on the contraction's edges to the ambient
-    edge space by inserting the forced interior matchings of each node.
+    edge space by inserting the forced interior matchings of each node;
+    the result is canonical.
 
     Each boundary edge e of a node adds z_e times the unique interior
     matching that the face forces once e is fixed, so the positive and the
@@ -544,21 +542,20 @@ def lift_contracted_vector(z: Sequence[int], face: Face, h: ContractionMultigrap
     not tight for the face or not contractible.
     """
     g = face.g
-    if len(z) != g.m:
-        raise ValueError(f"vector length {len(z)} does not match edge count {g.m}")
-    zmask = edge_mask(j for j, c in enumerate(z, start=1) if c)
-    outside = bit_positions(zmask & ~h.edge_mask)
+    z.check(g.m)
+    outside = bit_positions(z.support & ~h.edge_mask)
     if outside:
         raise ValueError(f"vector touches edge {outside[0]} outside the contraction")
-    if zmask & ~face.support_mask:
+    if z.support & ~face.support_mask:
         raise ValueError("vector support must lie inside the face support")
     _check_tight(face, h.nodes)
-    y = list(z)
+    zc = dict(z.items())
+    y = dict(zc)
     for sm in h.nodes:
         if sm.bit_count() == 1:
             continue
-        boundary = bit_positions(g.delta_mask(sm) & zmask)
-        if sum(z[eid - 1] for eid in boundary):
+        boundary = bit_positions(g.delta_mask(sm) & z.support)
+        if sum(zc[eid] for eid in boundary):
             raise ValueError(f"vector is unbalanced at node {list(bit_positions(sm))}")
         groups = forcing_groups(face, sm)
         for eid in boundary:
@@ -571,17 +568,18 @@ def lift_contracted_vector(z: Sequence[int], face: Face, h: ContractionMultigrap
                     "contractibility precondition violated"
                 )
             for j in bit_positions(inners[0]):
-                y[j - 1] += z[eid - 1]
-    if sum(map(abs, y)) > g.n * sum(map(abs, z)):
+                y[j] = y.get(j, 0) + zc[eid]
+    lifted = EdgeVector.of(y)
+    if sum(map(abs, lifted.coeffs)) > g.n * sum(map(abs, z.coeffs)):
         raise EngineError("lifted vector exceeds n times the circuit's 1-norm")
-    return tuple(y)
+    return lifted
 
 
 @dataclass(frozen=True)
 class GoodnessReport:
     ok: bool
     failed: str | None = None  # "maximality" | "contractibility" | "circuit"
-    witness: object = None  # a vertex mask, or a circuit vector
+    witness: object = None  # a vertex mask, or a circuit EdgeVector
 
     def __bool__(self) -> bool:
         return self.ok

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_SIZE_GUARD = 16
 
@@ -153,6 +153,44 @@ def edge_mask(edge_ids: Iterable[int]) -> int:
     for j in edge_ids:
         acc |= 1 << (j - 1)
     return acc
+
+
+class EdgeVector(NamedTuple):
+    """A signed vector over edge ids, sparse: the edge mask of its nonzero
+    coordinates and their values in edge-id order.  The library makes its
+    circuit, lifted and obligation vectors in this form, canonical with a
+    positive first coefficient: a vector and its negation respect a face
+    and separate alike."""
+
+    support: int
+    coeffs: tuple[int, ...]
+
+    @classmethod
+    def of(cls, coeff_of: dict[int, int]) -> EdgeVector:
+        """The canonical vector with these coefficients by edge id, zeros dropped."""
+        ids = sorted(j for j, c in coeff_of.items() if c)
+        coeffs = tuple(coeff_of[j] for j in ids)
+        return cls(edge_mask(ids), tuple(-c for c in coeffs) if coeffs and coeffs[0] < 0 else coeffs)
+
+    def items(self) -> Iterator[tuple[int, int]]:
+        """(edge id, coefficient) pairs in edge-id order."""
+        return zip(bit_positions(self.support), self.coeffs)
+
+    def check(self, m: int) -> None:
+        """Raise ValueError unless the vector lies on the edge ids 1..m."""
+        if not 0 <= self.support < 1 << m or len(self.coeffs) != self.support.bit_count() or not all(self.coeffs):
+            raise ValueError(f"not a vector on the edge ids 1..{m}: {self}")
+
+
+def dense_sorted(vectors: Collection[EdgeVector], m: int) -> list[EdgeVector]:
+    """Vectors on the edges 1..m in the order of their dense m-tuples: with
+    r > 2 max |coefficient|, a tuple read as balanced base-r digits, edge 1
+    the most significant, is an integer that sorts as the tuple does."""
+    if len(vectors) < 2:
+        return list(vectors)
+    r = 2 * max(max(map(abs, v.coeffs), default=0) for v in vectors) + 1
+    place = [r ** (m - e) for e in range(1, m + 1)]
+    return sorted(vectors, key=lambda v: sum(c * place[e - 1] for e, c in v.items()))
 
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection
 
-from .graphs import DEFAULT_SIZE_GUARD, Graph, enumerate_perfect_matchings
+from .graphs import DEFAULT_SIZE_GUARD, EdgeVector, Graph, enumerate_perfect_matchings
 
 
 @dataclass(frozen=True)
@@ -97,36 +97,30 @@ def default_padding(n: int) -> int:
 
 
 def separating_weights(
-    vectors: Sequence[Sequence[int]],
+    vectors: Collection[EdgeVector],
     n: int,
+    m: int,
     t_max: int,
-    m: int | None = None,
 ) -> tuple[int, WeightFunction] | None:
-    """Smallest family index k <= t_max whose member has nonzero inner
-    product with every vector, or None when the scan is exhausted.
+    """Smallest family index k <= t_max whose member on m edges has nonzero
+    inner product with every vector, or None when the scan is exhausted.
 
-    Each vector must be nonzero with 1-norm at most 4n^2.  Exhaustion is
-    only possible when t_max is below the guaranteed bound n^3 * len(vectors);
-    it is returned as data so callers can probe how small t can be.
+    Each vector must be a nonzero EdgeVector on the edges 1..m with 1-norm
+    at most 4n^2.  Exhaustion is only possible when t_max is below the
+    guaranteed bound n^3 * len(vectors); it is returned as data so callers
+    can probe how small t can be.
     """
-    vecs = [tuple(v) for v in vectors]
-    if vecs:
-        m = len(vecs[0])
-    elif m is None:
-        raise ValueError("edge count required when the vector list is empty")
-    sparse = []
-    for v in vecs:
-        if len(v) != m:
-            raise ValueError("vectors must all have the same length")
-        nz = [(i, c) for i, c in enumerate(v) if c]
-        if not nz:
+    rows = []
+    for v in vectors:
+        v.check(m)
+        if not v.support:
             raise ValueError("zero vector in obligation set")
-        if sum(abs(c) for _, c in nz) > 4 * n * n:
+        if sum(map(abs, v.coeffs)) > 4 * n * n:
             raise ValueError("vector 1-norm exceeds 4n^2")
-        sparse.append(nz)
+        rows.append([(j - 1, c) for j, c in v.items()])
     for k in range(2, t_max + 1):
         values = _member_values(k, n, m)
-        if all(sum(c * values[i] for i, c in nz) != 0 for nz in sparse):
+        if all(sum(c * values[i] for i, c in row) for row in rows):
             return k, WeightFunction(n, tuple(values), provenance=f"family:{k}")
     return None
 
@@ -141,7 +135,10 @@ def random_weights(g: Graph, seed: int) -> WeightFunction:
 
 def is_isolating(g: Graph, w: WeightFunction, max_vertices: int = DEFAULT_SIZE_GUARD) -> bool:
     """True iff exactly one perfect matching attains the minimum total
-    weight (False when the graph has no perfect matching)."""
+    weight (False when the graph has no perfect matching).  Raises when w
+    has another edge count than g."""
+    if w.m != g.m:
+        raise ValueError(f"{w.m} weights for a graph with {g.m} edges")
     matchings = enumerate_perfect_matchings(g, max_vertices)
     if not matchings:
         return False

@@ -3,7 +3,8 @@ oracle: every anchor edge is walked in both orientations, where
 bounded_circuit_vectors walks each anchor one way only, because a closed
 alternating walk read backwards has the same vector and node-weight."""
 
-from matchiso.faces import ContractionMultigraph, canonical_sign
+from dense_vectors import canonical_sign
+from matchiso.faces import ContractionMultigraph
 
 
 def bounded_circuit_vectors(h: ContractionMultigraph, max_node_weight: int) -> tuple[tuple[int, ...], ...]:

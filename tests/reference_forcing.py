@@ -4,7 +4,7 @@ face's matchings for every boundary edge or pair it is asked about."""
 
 from itertools import combinations
 
-from matchiso.faces import canonical_sign
+from dense_vectors import canonical_sign
 from matchiso.graphs import EngineError, bit_positions
 
 

@@ -549,6 +549,40 @@ def test_goodness_census_guard_admits_its_limit(capsys, tmp_path, monkeypatch):
         assert run(capsys, *argv)[0] == expected
 
 
+def test_search_refuses_weights_past_the_bit_limit(capsys, c4_file):
+    """One step above the limit: n * max(w) on C4 is the limit plus 4."""
+    import time
+
+    import matchiso.cli as cli
+
+    w = cli.SEARCH_MAX_DET_BITS // 4 + 1
+    started = time.perf_counter()
+    code, out, err = run(capsys, "search", "--graph", c4_file, "--weights", f"{w},1,{w},1")
+    assert time.perf_counter() - started < 1
+    assert code == 3 and out == ""
+    assert f"{4 * w} bits" in err and f"exceeds {cli.SEARCH_MAX_DET_BITS}" in err
+
+
+def test_search_admits_weights_at_the_bit_limit(capsys, c4_file, monkeypatch):
+    """At the limit the search runs; a stand-in search on small weights
+    keeps the test from spending the 20 s the limit allows."""
+    import matchiso.cli as cli
+    from matchiso import WeightFunction, determinant_search
+
+    assert cli.SEARCH_MAX_DET_BITS % 4 == 0
+    w = cli.SEARCH_MAX_DET_BITS // 4
+    searched = []
+
+    def small_search(g, weights):
+        searched.append(weights.values)
+        return determinant_search(g, WeightFunction(g.n, (1, 1, 1, 2)))
+
+    monkeypatch.setattr(cli, "determinant_search", small_search)
+    code, out, _ = run(capsys, "search", "--graph", c4_file, "--weights", f"{w},1,{w},1")
+    assert code == 0 and searched == [(w, 1, w, 1)]
+    assert payload(out)["result"]["status"] == "matched"
+
+
 def test_census_walks_counts_the_walks_of_a_single_edge():
     """One edge of weight-1 nodes: from the anchor, the search walks back
     and forth over it, one walk prefix for each length 0..8 at bound 10."""
@@ -663,3 +697,50 @@ def test_faces_checks_its_input_once():
     wrong = [call for call in calls if call[1] in allowed and call[0] not in allowed[call[1]]]
     assert not wrong, f"faces.py calls {wrong}"
     assert {name for _, name, _ in calls} >= set(allowed) - {"Face"}
+
+
+def test_edge_vectors_stay_sparse():
+    """A signed edge vector is an EdgeVector from where it is born: in
+    faces, engine and weights no edge_mask call rebuilds a mask from a
+    vector (the one call collects the contraction's edge ids), and no
+    m-length sequence is built, as [0] * m or a comprehension over
+    range(m), but the census's scratch list and two dense weight
+    functions."""
+    import ast
+
+    src = Path(__file__).resolve().parent.parent / "src" / "matchiso"
+    allowed = {
+        "edge_mask": {"faces.py:ContractionMultigraph.edge_mask"},
+        "dense": {"faces.py:bounded_circuit_vectors", "weights.py:random_weights", "engine.py:compose_log"},
+    }
+
+    def over_m(node):  # range(m), range(g.m), ...
+        return (
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range"
+            and any(getattr(a, "id", getattr(a, "attr", None)) == "m" for a in node.args)
+        )
+
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == "edge_mask":
+                found.append(("edge_mask", f"{module}:{scope}", child.lineno))
+            elif isinstance(child, ast.BinOp) and isinstance(child.op, ast.Mult) and (
+                isinstance(child.left, (ast.List, ast.Tuple)) or isinstance(child.right, (ast.List, ast.Tuple))
+            ):
+                found.append(("dense", f"{module}:{scope}", child.lineno))
+            elif isinstance(child, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)) and any(
+                over_m(gen.iter) for gen in child.generators
+            ):
+                found.append(("dense", f"{module}:{scope}", child.lineno))
+            visit(child, module, inner)
+
+    for name in ("faces.py", "engine.py", "weights.py"):
+        visit(ast.parse((src / name).read_text(), filename=name), name, "")
+    wrong = [(kind, scope, line) for kind, scope, line in found if scope not in allowed[kind]]
+    assert not wrong, f"vectors built outside their one form: {wrong}"
+    assert {scope for _, scope, _ in found} == set().union(*allowed.values())

@@ -28,6 +28,7 @@ from matchiso.graphs import bit_positions, edge_mask, vertex_mask
 from matchiso.tutte import STATUS_MATCHED
 
 from conftest import random_graph_with_pm
+from dense_vectors import to_sparse
 
 f = edge_mask  # a matching: the mask of its edge ids
 v = vertex_mask  # a vertex set: the mask of its labels
@@ -72,7 +73,7 @@ def test_find_member_raises_when_the_scan_comes_back_empty(monkeypatch):
 
     monkeypatch.setattr(engine, "separating_weights", lambda *args, **kwargs: None)
     with pytest.raises(EngineError):
-        engine._find_member([(1, -1, 0, 0)], 4, 4)
+        engine._find_member([to_sparse((1, -1, 0, 0))], 4, 4)
     with pytest.raises(EngineError):
         engine._find_member([], 4, 4)
 

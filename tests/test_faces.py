@@ -27,7 +27,6 @@ from matchiso import (
     uncross_pair,
 )
 from matchiso.faces import (
-    canonical_sign,
     is_tight,
     singletons,
 )
@@ -35,6 +34,7 @@ from matchiso.graphs import bit_positions, edge_mask, vertex_mask
 from matchiso.weights import random_weights
 
 import reference_census
+from dense_vectors import canonical_sign, dense_all, to_dense, to_sparse
 from conftest import complete_graph, random_graph_with_pm
 
 f = edge_mask  # a matching: the mask of its edge ids
@@ -131,6 +131,13 @@ def test_min_weight_subface(c4, k4):
     # weights 33, 18, 12 for {1,6}, {2,5}, {3,4}.
     sub_k4 = min_weight_subface(perfect_matching_face(k4), WeightFunction(4, (1, 2, 4, 8, 16, 32)))
     assert sub_k4.matchings == (f({3, 4}),)
+
+
+def test_min_weight_subface_refuses_another_edge_count(c4):
+    face = perfect_matching_face(c4)
+    for values in ((1, 1, 2), (1, 1, 1, 2, 1)):
+        with pytest.raises(ValueError, match="graph with 4 edges"):
+            min_weight_subface(face, WeightFunction(4, values))
 
 
 def test_noop_minimization_returns_the_same_face(k4):
@@ -490,14 +497,14 @@ def test_bounded_circuit_vectors_repeated_edge_walk():
         (v({1}), v({2}), v({3}), v({4}), v({5})),
         ((0, 2, 1), (0, 3, 2), (1, 2, 3), (1, 3, 4), (3, 4, 5)),
     )
-    assert bounded_circuit_vectors(h, 6) == (canonical_sign((-1, 1, 1, -1, 0)),)
+    assert dense_all(bounded_circuit_vectors(h, 6), 5) == (canonical_sign((-1, 1, 1, -1, 0)),)
     assert bounded_circuit_vectors(h, 2) == ()
 
 
 def test_bounded_circuit_vectors_c4(c4):
     face = perfect_matching_face(c4)
     h = contract_face(face, singletons(4), 1)
-    assert bounded_circuit_vectors(h, 4) == ((1, -1, -1, 1),)
+    assert dense_all(bounded_circuit_vectors(h, 4), 4) == ((1, -1, -1, 1),)
     assert bounded_circuit_vectors(h, 3) == ()
 
 
@@ -514,7 +521,7 @@ def test_bounded_circuit_vectors_parallel_pair(c4):
     assert h.node_weights == (3, 1)
     # Two parallel edges between the contracted triple and vertex 4; the
     # two-step circuit weighs 3 + 1 = 4.
-    assert bounded_circuit_vectors(h, 4) == ((0, 1, 0, -1),)
+    assert dense_all(bounded_circuit_vectors(h, 4), 4) == ((0, 1, 0, -1),)
     assert bounded_circuit_vectors(h, 3) == ()
 
 
@@ -538,17 +545,17 @@ def test_one_orientation_census_matches_both_orientations(h, bound):
     """Walking each anchor edge from its lower node finds what walking it
     both ways finds: a closed walk read backwards keeps its vector and its
     node-weight."""
-    assert bounded_circuit_vectors(h, bound) == reference_census.bounded_circuit_vectors(h, bound)
+    assert dense_all(bounded_circuit_vectors(h, bound), h.m) == reference_census.bounded_circuit_vectors(h, bound)
 
 
 def test_respects_face_whole_graph(c4):
     face = perfect_matching_face(c4)
-    cycle_vec = (1, -1, -1, 1)
+    cycle_vec = to_sparse((1, -1, -1, 1))
     assert respects_face(cycle_vec, face)
-    assert respects_face((0, 0, 0, 0), face)
+    assert respects_face(to_sparse((0, 0, 0, 0)), face)
     sub = min_weight_subface(face, WeightFunction(4, (1, 1, 1, 2)))
     assert not respects_face(cycle_vec, sub)  # support shrank
-    assert not respects_face((1, 1, 0, 0), face)  # singleton cut hit
+    assert not respects_face(to_sparse((1, 1, 0, 0)), face)  # singleton cut hit
 
 
 def test_respects_face_contraction_context(prism, prism_one_connector_face):
@@ -556,6 +563,7 @@ def test_respects_face_contraction_context(prism, prism_one_connector_face):
     h = contract_face(prism_one_connector_face, fam, 3)
     z = [0] * 9
     z[2], z[4] = 1, -1  # connectors (1,4) and (2,5)
+    z = to_sparse(z)
     assert respects_face(z, prism_one_connector_face, contraction=h)
     # In whole-graph context the same vector violates singleton cuts.
     assert not respects_face(z, prism_one_connector_face)
@@ -564,7 +572,7 @@ def test_respects_face_contraction_context(prism, prism_one_connector_face):
 def test_respect_is_monotone_under_subfaces(c4):
     face = perfect_matching_face(c4)
     sub = min_weight_subface(face, WeightFunction(4, (1, 1, 1, 2)))
-    for vec in [(1, -1, -1, 1), (1, 0, 0, -1), (0, 1, -1, 0)]:
+    for vec in map(to_sparse, [(1, -1, -1, 1), (1, 0, 0, -1), (0, 1, -1, 0)]):
         if respects_face(vec, sub):
             assert respects_face(vec, face)
 
@@ -572,7 +580,7 @@ def test_respect_is_monotone_under_subfaces(c4):
 def test_lift_identity_on_singleton_nodes(c4):
     face = perfect_matching_face(c4)
     h = contract_face(face, singletons(4), 1)
-    z = (1, -1, -1, 1)
+    z = to_sparse((1, -1, -1, 1))
     assert lift_contracted_vector(z, face, h) == z
 
 
@@ -581,11 +589,12 @@ def test_lift_prism_inserts_forced_interiors(prism, prism_one_connector_face):
     h = contract_face(prism_one_connector_face, fam, 3)
     z = [0] * 9
     z[2], z[4] = 1, -1  # +(1,4) -(2,5)
-    y = lift_contracted_vector(z, prism_one_connector_face, h)
+    y = to_dense(lift_contracted_vector(to_sparse(z), prism_one_connector_face, h), 9)
     # Forced interiors: +(2,3) -(1,3) in the first triangle, +(5,6) -(4,6)
     # in the second; ids (1,2)=1 (1,3)=2 (1,4)=3 (2,3)=4 (2,5)=5 (3,6)=6
-    # (4,5)=7 (4,6)=8 (5,6)=9.
-    assert y == (0, -1, 1, 1, -1, 0, 0, -1, 1)
+    # (4,5)=7 (4,6)=8 (5,6)=9.  The lift is canonical: its first nonzero
+    # coordinate, -1 at (1,3), is negated with all the others.
+    assert y == canonical_sign((0, -1, 1, 1, -1, 0, 0, -1, 1))
     assert sum(abs(c) for c in y) <= 6 * sum(abs(c) for c in z)
 
 
@@ -595,7 +604,7 @@ def test_lift_rejects_unbalanced_vector(prism, prism_one_connector_face):
     z = [0] * 9
     z[2] = 1
     with pytest.raises(ValueError):
-        lift_contracted_vector(z, prism_one_connector_face, h)
+        lift_contracted_vector(to_sparse(z), prism_one_connector_face, h)
 
 
 def test_lift_rejects_uncontractible_node(k6):
@@ -607,7 +616,7 @@ def test_lift_rejects_uncontractible_node(k6):
     assert k6.endpoints(5) == (1, 6) and k6.endpoints(9) == (2, 6)
     z[4], z[8] = 1, -1
     with pytest.raises(ValueError, match="contractibility"):
-        lift_contracted_vector(z, face, h)
+        lift_contracted_vector(to_sparse(z), face, h)
 
 
 def test_goodness_initialization(c4):
@@ -622,7 +631,7 @@ def test_goodness_detects_short_circuit(c4):
     report = goodness_check(face, fam, 4)
     assert not report.ok
     assert report.failed == "circuit"
-    assert report.witness == (0, 1, 0, -1)
+    assert to_dense(report.witness, 4) == (0, 1, 0, -1)
 
 
 def test_goodness_detects_non_maximal_family(c4):

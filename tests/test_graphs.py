@@ -15,10 +15,11 @@ from matchiso import (
     parse_graph,
 )
 
-from matchiso.graphs import bit_positions, crossing, edge_mask, vertex_mask
+from matchiso.graphs import EdgeVector, bit_positions, crossing, dense_sorted, edge_mask, vertex_mask
 from matchiso.smallgraphs import connected_graphs
 
 from conftest import random_graph
+from dense_vectors import to_dense, to_sparse
 from reference_matchings import enumerate_perfect_matchings as frozenset_matchings
 
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n4 1\n"
@@ -233,3 +234,21 @@ def test_min_weight_perfect_matching_seeded_sweep():
             continue
         best = min(sum(values[j - 1] for j in bit_positions(mm)) for mm in pms)
         assert is_perfect_matching(g, got) and sum(values[j - 1] for j in bit_positions(got)) == best
+
+
+@given(st.integers(1, 8).flatmap(lambda m: st.lists(st.tuples(*[st.integers(-3, 3)] * m), max_size=12)))
+def test_dense_sorted_is_the_order_of_the_dense_tuples(vectors):
+    """Sorting the sparse vectors gives the order in which their dense
+    m-tuples sort, so a census keeps the witness it had as m-tuples."""
+    m = len(vectors[0]) if vectors else 3
+    got = dense_sorted([to_sparse(vec) for vec in vectors], m)
+    assert [to_dense(v, m) for v in got] == sorted(vectors)
+
+
+def test_edge_vector_forms():
+    v = EdgeVector.of({5: 2, 2: 0, 3: -1})  # canonical: negated, so edge 3 reads +1
+    assert v == EdgeVector(0b10100, (1, -2)) and list(v.items()) == [(3, 1), (5, -2)]
+    v.check(5)
+    for bad, m in ((v, 4), (EdgeVector(0b11, (1,)), 2), (EdgeVector(0b1, (0,)), 2)):
+        with pytest.raises(ValueError):
+            bad.check(m)

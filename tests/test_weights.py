@@ -14,7 +14,9 @@ from matchiso import (
     random_weights,
     separating_weights,
 )
-from matchiso.graphs import edge_mask
+from matchiso.graphs import EdgeVector, edge_mask
+
+from dense_vectors import to_sparse
 
 
 def test_family_member_frozen_values():
@@ -93,7 +95,7 @@ def test_separating_weights_c4_cycle_vector():
     # Scanning: members k = 2..6 all give inner product 0; k = 7 with
     # values (2, 4, 1, 2) gives 2 - 4 - 1 + 2 = -1.
     y = (1, -1, -1, 1)
-    found = separating_weights([y], 4, t_max=4**3)
+    found = separating_weights([to_sparse(y)], 4, 4, t_max=4**3)
     assert found is not None
     k, w = found
     assert k == 7 and w.values == (2, 4, 1, 2)
@@ -101,7 +103,7 @@ def test_separating_weights_c4_cycle_vector():
 
 
 def test_separating_weights_empty_is_vacuous():
-    found = separating_weights([], 4, t_max=2, m=5)
+    found = separating_weights([], 4, 5, t_max=2)
     assert found is not None
     k, w = found
     assert k == 2 and w.values == (1, 1, 1, 1, 1)
@@ -109,18 +111,18 @@ def test_separating_weights_empty_is_vacuous():
 
 def test_separating_weights_exhausted_is_data():
     # (1, -1) is orthogonal to the all-ones member w_2, so t_max=2 exhausts.
-    assert separating_weights([(1, -1)], 4, t_max=2) is None
+    assert separating_weights([to_sparse((1, -1))], 4, 2, t_max=2) is None
 
 
 def test_separating_weights_validation():
     with pytest.raises(ValueError):
-        separating_weights([(0, 0)], 4, t_max=10)
+        separating_weights([to_sparse((0, 0))], 4, 2, t_max=10)
     with pytest.raises(ValueError):
-        separating_weights([(100,) * 10], 2, t_max=10)  # 1-norm over 4n^2
+        separating_weights([to_sparse((100,) * 10)], 2, 10, t_max=10)  # 1-norm over 4n^2
     with pytest.raises(ValueError):
-        separating_weights([(1, 0), (1, 0, 0)], 4, t_max=10)
+        separating_weights([to_sparse((1, 0)), to_sparse((1, 0, 1))], 4, 2, t_max=10)  # edge 3 of 2
     with pytest.raises(ValueError):
-        separating_weights([], 4, t_max=10)  # m unknown
+        separating_weights([EdgeVector(0b11, (1,))], 4, 2, t_max=10)  # two edges, one coefficient
 
 
 @given(st.integers(4, 10), st.data())
@@ -138,7 +140,7 @@ def test_separating_weights_succeeds_within_bound(n, data):
         if not any(vec):
             vec[support[0]] = 1
         vectors.append(tuple(vec))
-    found = separating_weights(vectors, n, t_max=n**3 * s)
+    found = separating_weights([to_sparse(vec) for vec in vectors], n, m, t_max=n**3 * s)
     assert found is not None
     k, w = found
     for vec in vectors:
@@ -183,3 +185,10 @@ def test_is_isolating_cases(c4, p4):
 
 def test_is_isolating_no_pm(triangle):
     assert not is_isolating(triangle, WeightFunction(3, (1, 1, 1)))
+
+
+def test_is_isolating_refuses_another_edge_count(c4):
+    # Too few values used to raise IndexError, too many went unread.
+    for values in ((1, 1, 2), (1, 1, 1, 2, 1)):
+        with pytest.raises(ValueError, match="graph with 4 edges"):
+            is_isolating(c4, WeightFunction(4, values))
