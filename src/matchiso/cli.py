@@ -76,6 +76,11 @@ WEIGHTS_MAX_BITS = 4_096  # bound on the padding n**e and on each concatenated w
 # Peak RSS of the whole command with the vectors as EdgeVectors (as dense m-tuples before): K14 at lambda 6
 # 62.1 MB (123.7), K16 at lambda 6 432.9 MB (486.4); K16 peaks as high at lambda 1 (433.0 MB), in its face
 CENSUS_MAX_WALKS = 10_000_000
+# face and goodness walk the 2^(n-2) odd sets that hold vertex 1, and a step may read one field of every
+# matching in the packed matchings: 2^(n-2) * matchings * field bytes bounds the bytes read. 16-vertex
+# graphs of density 0.84 and 0.85 (584,027 and 684,081 matchings) took 16.2 s at 1.24e11 and 23.5 s at
+# 1.57e11, so about 20 s at the limit; K16 (2,027,025 matchings, 4.98e11) took 131 s
+TIGHT_WALK_MAX_BYTES = 150_000_000_000
 
 
 class _Domain(Exception):
@@ -224,9 +229,19 @@ def _face_from_args(args, g: Graph):
     return face
 
 
+def _check_tight_walk(face) -> None:
+    walked = face.tight_walk_bytes()
+    if walked > TIGHT_WALK_MAX_BYTES:
+        raise SizeGuardExceeded(
+            f"tight-set walk over {len(face)} matchings on {face.g.n} vertices reads {walked} bytes, "
+            f"which exceeds {TIGHT_WALK_MAX_BYTES}"
+        )
+
+
 def _cmd_face(args) -> dict:
     g = _load_graph(args.graph)
     face = _face_from_args(args, g)
+    _check_tight_walk(face)
     tight = tight_odd_sets(face)
     fam = extend_to_maximal_laminar(singletons(g.n), tight)
     return {
@@ -251,6 +266,7 @@ def _census_walks(h: ContractionMultigraph, max_node_weight: int) -> int:
 def _cmd_goodness(args) -> dict:
     g = _load_graph(args.graph)
     face = _face_from_args(args, g)
+    _check_tight_walk(face)
     fam = extend_to_maximal_laminar(singletons(g.n), tight_odd_sets(face))
     lam = getattr(args, "lambda")
     if 1 <= lam <= 2 * g.n:  # goodness_check refuses other thresholds, or reports before any census

@@ -94,6 +94,16 @@ class Face:
         return {}
 
     @cached_property
+    def _field_bytes(self) -> int:
+        """The bytes of one matching's field in _tight_masks' packed matchings."""
+        return (max(self.matchings).bit_length() + 7) // 8 or 1
+
+    def tight_walk_bytes(self) -> int:
+        """A bound on the bytes that the tight-set walk reads: its 2^(n-2)
+        steps, each reading at most one field per matching."""
+        return (1 << self.g.n >> 2) * len(self) * self._field_bytes
+
+    @cached_property
     def _tight_masks(self) -> tuple[int, ...]:
         """The tight odd sets as vertex masks, in (size, lexicographic)
         order; tight_odd_sets reads them behind its size guard.
@@ -107,7 +117,7 @@ class Face:
         copies the cut into the field of each matching in packed, and the
         set is tight iff each field keeps one bit of it."""
         n, k, masks = self.g.n, len(self), self.matchings
-        size = (max(masks).bit_length() + 7) // 8 or 1
+        size = self._field_bytes
         packed = int.from_bytes(b"".join(mm.to_bytes(size, "little") for mm in masks), "little")
         repunit = int.from_bytes((b"\x01" + bytes(size - 1)) * k, "little")
         field = (1 << 8 * size) - 1

@@ -10,6 +10,15 @@ of the same signature and checks adjacency to the vertices mapped so far,
 so it is exact.  Candidates are met in a fixed order and each class keeps
 its first, so the output does not depend on how duplicates are found.
 
+A base graph is extended only by the neighbourhoods that are least in their
+orbit under its automorphism group.  Another neighbourhood is the image of
+a smaller one under an automorphism, which extends to an isomorphism of the
+two candidates, so its candidate copies one met earlier and was never the
+first of its class: every class keeps the same first candidate.  The orbits
+come from a generating set of the group, one automorphism per (i, w) that
+fixes 0..i-1 and maps i to w, each found by the same isomorphism search
+with those vertices recoloured apart.
+
 Used by the acceptance suite as the exhaustive corpus; counts are checked
 against the known sequences (all graphs: 1, 2, 4, 11, 34, 156, 1044, 12346;
 connected: 1, 1, 2, 6, 21, 112, 853, 11117).
@@ -37,9 +46,10 @@ def _signatures(adj: tuple[int, ...], k: int) -> list[int]:
     return sigs
 
 
-def _isomorphic(a: tuple[int, ...], sa: list[int], b: tuple[int, ...], sb: list[int], k: int) -> bool:
-    """Is some bijection v -> image[v] with sa[v] == sb[image[v]] an
-    isomorphism from a onto b?  Vertices of a are mapped in index order."""
+def _isomorphic(a: tuple[int, ...], sa: list[int], b: tuple[int, ...], sb: list[int], k: int) -> list[int] | None:
+    """A bijection v -> image[v] with sa[v] == sb[image[v]] that is an
+    isomorphism from a onto b, or None.  Vertices of a are mapped in index
+    order."""
     image = [0] * k
 
     def extend(v: int, used: int) -> bool:
@@ -59,7 +69,71 @@ def _isomorphic(a: tuple[int, ...], sa: list[int], b: tuple[int, ...], sb: list[
                     return True
         return False
 
-    return extend(0, 0)
+    return image if extend(0, 0) else None
+
+
+def _automorphism_generators(adj: tuple[int, ...], sigs: list[int], k: int) -> list[list[int]]:
+    """Generators of the automorphism group of adj.  For i from k-1 down to
+    0, and each w > i that an automorphism fixing 0..i-1 maps i to but the
+    generators found so far do not, one such automorphism joins them: the
+    _isomorphic search of adj onto itself with 0..i-1 coloured apart and i
+    coloured as w.  By induction they then generate every automorphism
+    that fixes 0..i-1, since they reach the whole orbit of i."""
+    gens: list[list[int]] = []
+    for i in reversed(range(k)):
+        fixed = [-1 - j for j in range(i)]  # signatures are nonnegative
+        orbit = 1 << i
+        for w in range(i + 1, k):
+            if sigs[w] != sigs[i] or orbit >> w & 1:
+                continue
+            sb = fixed + sigs[i:]
+            sb[w] = -1 - i
+            perm = _isomorphic(adj, fixed + [-1 - i] + sigs[i + 1 :], adj, sb, k)
+            if perm is not None:
+                gens.append(perm)
+                orbit = _orbit(i, gens)
+    return gens
+
+
+def _orbit(v: int, perms: list[list[int]]) -> int:
+    """The orbit of v under the group that perms generate, as a vertex mask."""
+    orbit, stack = 1 << v, [v]
+    while stack:
+        u = stack.pop()
+        for perm in perms:
+            if not orbit >> perm[u] & 1:
+                orbit |= 1 << perm[u]
+                stack.append(perm[u])
+    return orbit
+
+
+def _orbit_minima(gens: list[list[int]], k: int) -> list[int]:
+    """The subsets of 0..k-1, as masks in increasing order, that are least
+    in their orbit under the group that the permutations gens generate."""
+    size = 1 << k
+    images = []
+    for perm in gens:
+        image = [0] * size
+        for x in range(1, size):
+            low = x & -x
+            image[x] = image[x ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(image)
+    seen = bytearray(size)
+    out = []
+    for x in range(size):
+        if seen[x]:
+            continue
+        out.append(x)
+        seen[x] = 1
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for image in images:
+                z = image[y]
+                if not seen[z]:
+                    seen[z] = 1
+                    stack.append(z)
+    return out
 
 
 def _is_connected(adj: tuple[int, ...], k: int) -> bool:
@@ -85,7 +159,8 @@ def graphs_up_to_iso(max_n: int) -> dict[int, list[tuple[int, ...]]]:
     for k in range(2, max_n + 1):
         buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], list[int]]]] = {}
         for base in levels[k - 1]:
-            for nb in range(1 << (k - 1)):
+            gens = _automorphism_generators(base, _signatures(base, k - 1), k - 1)
+            for nb in _orbit_minima(gens, k - 1):
                 adj = list(base) + [nb]
                 rest = nb
                 while rest:

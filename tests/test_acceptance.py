@@ -2,11 +2,13 @@
 
 The exhaustive corpus (connected graphs up to 8 vertices, up to isomorphism)
 is generated once per session and its counts are asserted against the known
-sequence, which independently validates the generator.  Criteria 2 and 3
+sequence, which independently validates the generator, and its listing is
+pinned by a digest, so that a changed representative shows too.  Criteria 2 and 3
 share the isolation-draw records; criteria 10 and 11 both walk the
 constructive pipeline over the corpus.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -56,6 +58,8 @@ from dense_vectors import dense_all, to_sparse
 from reference_search import per_edge_search
 
 EXPECTED_CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
+# sha256 of the corpus listing, ";".join(f"{g.n}:{g.edges}"): 12,113 graphs, every representative in order
+CORPUS8_SHA256 = "ebe90fa58cb8014ed2b0ffd659afac3d6acbc69ea702475775064fcd3d7a5f5b"
 
 
 def announce(criterion: int, elapsed: float, detail: str):
@@ -71,6 +75,14 @@ def corpus8():
     print(f"[corpus: {len(graphs)} connected graphs <= 8 vertices in "
           f"{time.perf_counter() - started:.1f}s]")
     return graphs
+
+
+def test_corpus8_listing_is_pinned(corpus8):
+    """The counts pin the number of classes; the digest pins which graph
+    represents each class, and their order."""
+    listing = ";".join(f"{g.n}:{g.edges}" for g in corpus8)
+    assert len(corpus8) == 12_113
+    assert hashlib.sha256(listing.encode()).hexdigest() == CORPUS8_SHA256
 
 
 @pytest.fixture(scope="session")

@@ -549,6 +549,31 @@ def test_goodness_census_guard_admits_its_limit(capsys, tmp_path, monkeypatch):
         assert run(capsys, *argv)[0] == expected
 
 
+@pytest.mark.parametrize("verb", [["face"], ["goodness", "--lambda", "2"]])
+def test_tight_walk_guard_admits_its_limit(capsys, tmp_path, monkeypatch, verb):
+    """K6's walk reads 2^4 steps * 15 matchings * 2 field bytes = 480 bytes:
+    at that limit face and goodness run, and one byte below it both are
+    refused in under a second, before the walk starts."""
+    import time
+
+    import matchiso.cli as cli
+
+    argv = (verb[0], "--graph", _complete_graph_file(tmp_path, 6), *verb[1:])
+    monkeypatch.setattr(cli, "TIGHT_WALK_MAX_BYTES", 480)
+    assert run(capsys, *argv)[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the tight-walk guard let the walk start")
+
+    monkeypatch.setattr(cli, "tight_odd_sets", refuse)
+    monkeypatch.setattr(cli, "TIGHT_WALK_MAX_BYTES", 479)
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert code == 3 and out == ""
+    assert "15 matchings on 6 vertices reads 480 bytes" in err and "exceeds 479" in err
+
+
 def test_search_refuses_weights_past_the_bit_limit(capsys, c4_file):
     """One step above the limit: n * max(w) on C4 is the limit plus 4."""
     import time

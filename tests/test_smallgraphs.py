@@ -1,16 +1,27 @@
-"""The corpus generator against its former canonical-form dedupe, and its
-isomorphism test on graphs that the bucket invariant cannot tell apart."""
+"""The corpus generator against its former canonical-form dedupe, its
+isomorphism test on graphs that the bucket invariant cannot tell apart, and
+the automorphism generators and neighbourhood orbits that prune it."""
 
+import ast
 import itertools
+import math
 import random
+from pathlib import Path
 
 import pytest
 
 from matchiso import graph_from_edges
-from matchiso.smallgraphs import _isomorphic, _signatures, connected_graphs, graphs_up_to_iso
+from matchiso.smallgraphs import (
+    _automorphism_generators,
+    _isomorphic,
+    _orbit_minima,
+    _signatures,
+    connected_graphs,
+    graphs_up_to_iso,
+)
 
 import reference_smallgraphs as reference
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, path_graph
 
 ALL_GRAPH_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
 
@@ -39,7 +50,33 @@ def bucket_key(adj: tuple[int, ...]) -> tuple[int, ...]:
 
 def isomorphic(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     k = len(a)
-    return _isomorphic(a, _signatures(a, k), b, _signatures(b, k), k)
+    return _isomorphic(a, _signatures(a, k), b, _signatures(b, k), k) is not None
+
+
+def generators(adj: tuple[int, ...]) -> list[list[int]]:
+    return _automorphism_generators(adj, _signatures(adj, len(adj)), len(adj))
+
+
+def group_order(gens: list[list[int]], k: int) -> int:
+    """The order of the permutation group that gens generate, by closure."""
+    identity = tuple(range(k))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[p[v]] for v in range(k))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)
+
+
+def permute_mask(perm, x: int) -> int:
+    return sum(1 << perm[v] for v in range(len(perm)) if x >> v & 1)
+
+
+K33_EDGES = [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]
+RIGID_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (4, 6)]  # the least asymmetric graphs have 6 vertices
 
 
 def disjoint_union(*graphs):
@@ -79,7 +116,7 @@ def test_c6_and_two_triangles_stay_apart():
 
 
 def test_k33_and_prism_stay_apart(prism):
-    k33 = adjacency(graph_from_edges(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]))
+    k33 = adjacency(graph_from_edges(6, K33_EDGES))
     prism = adjacency(prism)
     assert bucket_key(k33) == bucket_key(prism)
     assert not isomorphic(k33, prism) and not isomorphic(prism, k33)
@@ -137,3 +174,73 @@ def test_isomorphism_respects_the_given_colours():
     p3 = adjacency(graph_from_edges(3, [(1, 2), (2, 3)]))
     assert _isomorphic(p3, [0, 1, 0], p3, [0, 1, 0], 3)
     assert not _isomorphic(p3, [0, 1, 0], p3, [1, 0, 0], 3)
+
+
+@pytest.mark.parametrize("name, order", [
+    *[(f"K{k}", math.factorial(k)) for k in range(1, 7)],
+    *[(f"C{k}", 2 * k) for k in range(3, 9)],
+    ("cube", 48), ("petersen", 120), ("K3,3", 72), ("rigid", 1),
+])
+def test_generators_generate_the_automorphism_group(request, name, order):
+    if name == "K3,3":
+        g = graph_from_edges(6, K33_EDGES)
+    elif name[0] == "K":
+        g = complete_graph(int(name[1:]))
+    elif name[0] == "C":
+        g = cycle_graph(int(name[1:]))
+    elif name == "rigid":
+        g = graph_from_edges(6, RIGID_EDGES)
+    else:
+        g = request.getfixturevalue(name)
+    adj = adjacency(g)
+    gens = generators(adj)
+    assert all(relabel(adj, perm) == adj for perm in gens)
+    assert group_order(gens, g.n) == order
+    assert (gens == []) == (order == 1)
+
+
+def brute_force_orbit_minima(adj: tuple[int, ...]) -> list[int]:
+    k = len(adj)
+    automorphisms = [p for p in itertools.permutations(range(k)) if relabel(adj, list(p)) == adj]
+    return [x for x in range(1 << k) if all(permute_mask(p, x) >= x for p in automorphisms)]
+
+
+def test_kept_masks_are_the_orbit_minima(prism, k6, c6):
+    bases = [adj for level in graphs_up_to_iso(5).values() for adj in level]
+    bases += [adjacency(g) for g in (k6, graph_from_edges(6, K33_EDGES), prism, c6)]
+    bases.append((0,) * 6)
+    for adj in bases:
+        assert _orbit_minima(generators(adj), len(adj)) == brute_force_orbit_minima(adj), adj
+
+
+def test_orbit_minima_without_generators_keep_every_mask():
+    assert _orbit_minima([], 4) == list(range(16))
+    assert _orbit_minima(generators(adjacency(path_graph(3))), 3) == [0, 1, 2, 3, 5, 7]
+
+
+def test_one_backtracking_search():
+    """smallgraphs searches by backtracking in one place, the isomorphism
+    test; the automorphism generators come from it, not from a second
+    search or a walk over all permutations."""
+    path = Path(__file__).resolve().parent.parent / "src" / "matchiso" / "smallgraphs.py"
+    tree = ast.parse(path.read_text(), filename=path.name)
+    recursive, callers = [], set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, ast.FunctionDef):
+                inner = (*scope, child.name)
+                calls = {getattr(c.func, "id", None) for c in ast.walk(child) if isinstance(c, ast.Call)}
+                if child.name in calls:
+                    recursive.append(".".join(inner))
+            elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_isomorphic":
+                callers.add(scope[0])
+            visit(child, inner)
+
+    visit(tree, ())
+    assert recursive == ["_isomorphic.extend"]
+    assert callers == {"_automorphism_generators", "graphs_up_to_iso"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert not imported & {"itertools", "permutations"}
