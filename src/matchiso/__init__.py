@@ -19,7 +19,6 @@ from .graphs import (
 from .weights import (
     WeightFunction,
     concatenate,
-    default_padding,
     family_member,
     is_isolating,
     random_weights,
@@ -44,13 +43,11 @@ from .faces import (
     extend_to_maximal_laminar,
     goodness_check,
     is_contractible,
-    laminar_spans_tight_cuts,
     lift_contracted_vector,
     min_weight_subface,
     perfect_matching_face,
     respects_face,
     tight_odd_sets,
-    uncross_pair,
 )
 from .engine import (
     EngineError,

@@ -81,6 +81,10 @@ CENSUS_MAX_WALKS = 10_000_000
 # graphs of density 0.84 and 0.85 (584,027 and 684,081 matchings) took 16.2 s at 1.24e11 and 23.5 s at
 # 1.57e11, so about 20 s at the limit; K16 (2,027,025 matchings, 4.98e11) took 131 s
 TIGHT_WALK_MAX_BYTES = 150_000_000_000
+# face and goodness --weights weigh every matching of the face once per family index, before any guard on the
+# face: K14 (135,135 matchings) took 1.39 s with --weights 2 and 6.51 s with index 2 forty-one times, 0.95 us
+# per weighing, so about 19 s at the limit
+FACE_MAX_WEIGHINGS = 20_000_000
 
 
 class _Domain(Exception):
@@ -224,7 +228,13 @@ def _cmd_weights(args) -> dict:
 def _face_from_args(args, g: Graph):
     face = perfect_matching_face(g)
     if args.weights:
+        weighed = 0
         for k in _int_list(args.weights, "--weights"):
+            weighed += len(face)
+            if weighed > FACE_MAX_WEIGHINGS:
+                raise SizeGuardExceeded(
+                    f"--weights would weigh {weighed} matchings, which exceeds {FACE_MAX_WEIGHINGS}"
+                )
             face = min_weight_subface(face, family_member(k, g.n, g.m))
     return face
 

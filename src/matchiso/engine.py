@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import (
-    DEFAULT_SIZE_GUARD,
     EdgeVector,
     EngineError,
     Graph,
@@ -230,9 +229,9 @@ def make_chains_contractible(
     return tuple(records), cur
 
 
-def initial_state(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> FaceLaminarState:
+def initial_state(g: Graph) -> FaceLaminarState:
     """The whole polytope with a maximal laminar family; always 1-good."""
-    face = perfect_matching_face(g, max_vertices)
+    face = perfect_matching_face(g)
     fam = extend_to_maximal_laminar(singletons(g.n), tight_odd_sets(face))
     report = goodness_check(face, fam, 1)
     if not report.ok:
@@ -280,7 +279,7 @@ def compose_log(records: tuple[PhaseRecord, ...], n: int, m: int) -> WeightFunct
     return w
 
 
-def isolate_derandomized(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> IsolationCertificate:
+def isolate_derandomized(g: Graph) -> IsolationCertificate:
     """Run the constructive pipeline to a certificate.
 
     Doubles the threshold ceil(log2 n) times, then cross-validates the
@@ -289,7 +288,7 @@ def isolate_derandomized(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> Is
     determinant search returns the same matching.  The brute force reads
     the perfect matchings off the starting face, enumerated once.
     """
-    state = initial_state(g, max_vertices)
+    state = initial_state(g)
     matchings = state.face.matchings
     while state.threshold < g.n:
         state = advance(state)

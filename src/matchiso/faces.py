@@ -10,11 +10,12 @@ again.  Every tightness test reads one memo on the face, the walk over its
 tight sets.  On top of that sit:
 support and tight odd sets, maximal laminar families held as forests (each
 member points to the least member around it; one routine places a set,
-or finds a member it crosses), uncrossing, contractible tight sets, the
-node-weighted contraction multigraph, alternating circuits with their
-signed indicator vectors, the respect predicate, and the combined progress
-check (maximality + small-set contractibility + no short circuit in the
-contraction).
+or finds a member it crosses), contractible tight sets, the
+node-weighted contraction multigraph, the set of signed indicator vectors
+of its short alternating circuits, the respect predicate, and the combined
+progress check (maximality + small-set contractibility + no short circuit
+in the contraction).  The uncrossing and spanning lemmas that justify the
+laminar families are checked by the tests, not here.
 
 Conventions: every vertex set (tight sets, laminar members, chains,
 contraction nodes, witnesses) is an int mask with bit v - 1 for vertex v,
@@ -30,7 +31,6 @@ order, canonical with a positive first coefficient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -43,7 +43,6 @@ from .graphs import (
     NoPerfectMatchingError,
     SizeGuardExceeded,
     bit_positions,
-    crossing,
     dense_sorted,
     edge_mask,
     enumerate_perfect_matchings,
@@ -147,9 +146,10 @@ def _trusted(cls, **fields):
     return obj
 
 
-def perfect_matching_face(g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD) -> Face:
-    """The whole polytope: hull of all perfect matchings."""
-    matchings = enumerate_perfect_matchings(g, max_vertices)
+def perfect_matching_face(g: Graph) -> Face:
+    """The whole polytope: hull of all perfect matchings.  Behind the size
+    guard."""
+    matchings = enumerate_perfect_matchings(g)
     if not matchings:
         raise NoPerfectMatchingError(g)
     return _trusted(Face, g=g, matchings=matchings)
@@ -184,20 +184,14 @@ def _set_sorted(masks: Iterable[int]) -> list[int]:
     return out
 
 
-def tight_odd_sets(face: Face, max_vertices: int = DEFAULT_SIZE_GUARD) -> tuple[int, ...]:
+def tight_odd_sets(face: Face) -> tuple[int, ...]:
     """All odd vertex sets crossed exactly once by every matching of the
     face, as masks in (size, lexicographic) order; always includes the
-    singletons.  Behind the guard; memoized on the face."""
+    singletons.  Behind the size guard; memoized on the face."""
     n = face.g.n
-    if n > max_vertices:
-        raise SizeGuardExceeded(f"n={n} exceeds oracle guard {max_vertices}")
+    if n > DEFAULT_SIZE_GUARD:
+        raise SizeGuardExceeded(f"n={n} exceeds oracle guard {DEFAULT_SIZE_GUARD}")
     return face._tight_masks
-
-
-def is_tight(face: Face, s: int) -> bool:
-    """Tightness of a vertex mask, read from the face's tight sets."""
-    _check_vertex_mask(s, face.g.n)
-    return s in face._tight_set
 
 
 def _place(parent: dict[int, int], s: int, insert: bool = True) -> int | None:
@@ -290,85 +284,6 @@ def _maximality_witness(face: Face, fam: LaminarFamily) -> int | None:
     return next((s for s in fam.masks if s not in kept), None) or next(
         (t for t in tight_odd_sets(face) if t not in parent and _place(parent, t, insert=False) is None), None
     )
-
-
-def _reduce_row(row: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
-    """Fraction-free reduction of an integer row against pivoted basis rows."""
-    for piv, brow in basis:
-        c = row[piv]
-        if c:
-            b = brow[piv]
-            for i in range(len(row)):
-                row[i] = b * row[i] - c * brow[i]
-            g = 0
-            for x in row:
-                g = math.gcd(g, x)
-            if g > 1:
-                row = [x // g for x in row]
-    return row
-
-
-def laminar_spans_tight_cuts(face: Face, fam: LaminarFamily) -> bool:
-    """Exact rational check that the boundary vectors of the laminar family
-    span those of all tight sets, restricted to the support of the face.
-
-    Raises if fam is not a maximal laminar subset of tight(face).
-    """
-    g = face.g
-    bad = _maximality_witness(face, fam)
-    tight = tight_odd_sets(face)
-    if bad is not None:
-        raise ValueError(f"not a maximal laminar family of tight sets: {list(bit_positions(bad))}")
-    support = bit_positions(face.support_mask)
-
-    def restricted(s: int) -> list[int]:
-        dm = g.delta_mask(s)
-        return [(dm >> (j - 1)) & 1 for j in support]
-
-    basis: list[tuple[int, list[int]]] = []
-    for s in fam.masks:
-        row = _reduce_row(restricted(s), basis)
-        piv = next((i for i, x in enumerate(row) if x), None)
-        if piv is not None:
-            basis.append((piv, row))
-    return not any(any(_reduce_row(restricted(t), basis)) for t in tight)
-
-
-@dataclass(frozen=True)
-class UncrossCertificate:
-    sets: tuple[int, int]
-    odd_intersection: bool
-    lhs_on_support: tuple[int, ...]
-    rhs_on_support: tuple[int, ...]
-
-
-def uncross_pair(s: int, t: int, face: Face) -> tuple[int, int, UncrossCertificate]:
-    """Replace a crossing pair of tight sets by a non-crossing tight pair.
-
-    Odd intersection gives (S&T, S|T), even gives (S-T, T-S); in both cases
-    the boundary-indicator identity holds coordinatewise on the support of
-    the face, and both returned sets are verified tight.
-    """
-    if not is_tight(face, s) or not is_tight(face, t):
-        raise ValueError("both sets must be tight for the face")
-    if not crossing(s, t):
-        raise ValueError("sets do not cross")
-    odd = (s & t).bit_count() % 2 == 1
-    a, b = (s & t, s | t) if odd else (s & ~t, t & ~s)
-    shifts = [j - 1 for j in bit_positions(face.support_mask)]
-    delta = face.g.delta_mask
-
-    def on_support(x: int, y: int) -> tuple[int, ...]:
-        dx, dy = delta(x), delta(y)
-        return tuple((dx >> j & 1) + (dy >> j & 1) for j in shifts)
-
-    lhs = on_support(s, t)
-    rhs = on_support(a, b)
-    if lhs != rhs:
-        raise EngineError("uncrossing identity failed on the face support")
-    if not is_tight(face, a) or not is_tight(face, b):
-        raise EngineError("uncrossed sets are not tight")
-    return a, b, UncrossCertificate((a, b), odd, lhs, rhs)
 
 
 def forcing_groups(face: Face, hi: int, lo: int = 0) -> dict[int, tuple[int, ...]]:
@@ -469,10 +384,9 @@ def contract_face(face: Face, fam: LaminarFamily, threshold: int) -> Contraction
     return ContractionMultigraph(g.m, nodes, tuple(edges))
 
 
-def bounded_circuit_vectors(h: ContractionMultigraph, max_node_weight: int) -> tuple[EdgeVector, ...]:
-    """All distinct canonical indicator vectors of alternating circuits with
-    node-weight at most the bound, found by exhaustive bounded walk search,
-    in the order of their dense m-tuples.
+def bounded_circuit_vectors(h: ContractionMultigraph, max_node_weight: int) -> set[EdgeVector]:
+    """The set of canonical indicator vectors of alternating circuits with
+    node-weight at most the bound, found by exhaustive bounded walk search.
 
     A circuit's node-weight counts the tail vertex of each step, with
     multiplicities, so every step consumes at least one unit of budget and
@@ -511,7 +425,7 @@ def bounded_circuit_vectors(h: ContractionMultigraph, max_node_weight: int) -> t
             vec[eid - 1] = 1
             dfs(eid, a, b, 1, used, 1 << (eid - 1))
             vec[eid - 1] = 0
-    return tuple(dense_sorted(results, h.m))
+    return results
 
 
 def respects_face(
@@ -603,7 +517,8 @@ def goodness_check(face: Face, fam: LaminarFamily, threshold: int) -> GoodnessRe
     (c) the contraction at the threshold has no alternating circuit of
         node-weight <= threshold.
 
-    Returns which clause failed and a witness when not good.
+    Returns which clause failed and a witness when not good: for (c), the
+    least circuit vector in the order of the dense m-tuples.
     """
     bad = _maximality_witness(face, fam)
     if bad is not None:
@@ -614,5 +529,5 @@ def goodness_check(face: Face, fam: LaminarFamily, threshold: int) -> GoodnessRe
     h = contract_face(face, fam, threshold)
     vectors = bounded_circuit_vectors(h, threshold)
     if vectors:
-        return GoodnessReport(False, "circuit", vectors[0])
+        return GoodnessReport(False, "circuit", dense_sorted(vectors, h.m)[0])
     return GoodnessReport(True)

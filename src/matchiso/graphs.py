@@ -7,9 +7,9 @@ shuffled edge list yields the same graph and the same ids.
 
 The module also hosts the exhaustive perfect-matching oracle that the rest
 of the package (and its tests) use as ground truth.  The oracle is guarded
-by an instance-size limit because it enumerates matchings explicitly.  The
-polynomial counterpart, Edmonds' blossom algorithm for a minimum-weight
-perfect matching, has no guard.
+by an instance-size limit, the constant DEFAULT_SIZE_GUARD, because it
+enumerates matchings explicitly.  The polynomial counterpart, Edmonds'
+blossom algorithm for a minimum-weight perfect matching, has no guard.
 """
 
 from __future__ import annotations
@@ -124,15 +124,6 @@ class Graph:
         for v in bit_positions(vertex_mask):
             touching |= self.incidence_masks[v - 1]
         return touching & ~self.delta_mask(vertex_mask)
-
-
-def vertex_mask(vertices: Iterable[int]) -> int:
-    """The mask of a set of vertex labels, bit v - 1 for vertex v: the
-    vertex-set type of faces and engine."""
-    acc = 0
-    for v in vertices:
-        acc |= 1 << (v - 1)
-    return acc
 
 
 def bit_positions(mask: int) -> tuple[int, ...]:
@@ -257,16 +248,15 @@ def is_perfect_matching(g: Graph, mask: int) -> bool:
     return all((star & mask).bit_count() == 1 for star in g.incidence_masks)
 
 
-def enumerate_perfect_matchings(
-    g: Graph, max_vertices: int = DEFAULT_SIZE_GUARD
-) -> tuple[int, ...]:
+def enumerate_perfect_matchings(g: Graph) -> tuple[int, ...]:
     """All perfect matchings as edge masks, in lexicographic order of their
     sorted edge ids.  Empty iff none exist.  The walk covers the lowest free
     vertex by ascending edge ids, so the ids of each matching come in
     ascending order and the walk emits the matchings in that order.
+    Behind the size guard.
     """
-    if g.n > max_vertices:
-        raise SizeGuardExceeded(f"n={g.n} exceeds oracle guard {max_vertices}")
+    if g.n > DEFAULT_SIZE_GUARD:
+        raise SizeGuardExceeded(f"n={g.n} exceeds oracle guard {DEFAULT_SIZE_GUARD}")
     if g.n % 2 == 1:
         return ()
     full = (1 << g.n) - 1
@@ -652,10 +642,3 @@ def _max_weight_matching(n: int, edges: list[tuple[int, int, int]]) -> list[int]
             if parent[b] == -1 and base[b] >= 0 and label[b] == 1 and dual[b] == 0:
                 expand_blossom(b, True)
     return [endpoint[p] if p >= 0 else -1 for p in mate]
-
-
-def crossing(s, t) -> bool:
-    """S and T cross when S&T, S-T and T-S are all nonempty: S&T is neither
-    empty nor S nor T, for two vertex masks."""
-    common = s & t
-    return bool(common) and common != s and common != t

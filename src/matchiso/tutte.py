@@ -1,5 +1,6 @@
-"""Tutte matrices over powers of two, exact and modular determinants, and
-the determinant-digit search for an isolated perfect matching.
+"""Tutte matrices over powers of two, the exact determinant, the modular
+existence test, and the determinant-digit search for an isolated perfect
+matching.
 
 The matrix of a graph has entry +2^w(e) at (u, v) and -2^w(e) at (v, u) for
 every edge e = (u, v) with u < v.  When a unique perfect matching M attains
@@ -10,7 +11,6 @@ disappear, which is what the search exploits.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -47,28 +47,25 @@ def _ord2(x: int) -> int:
 
 @dataclass(frozen=True)
 class DeterminantResult:
+    """The exact determinant of a Tutte matrix."""
+
     value: int
 
-    @property
-    def ord2(self) -> int | None:
-        """Largest k with 2^k dividing the value; None for value 0."""
-        return None if self.value == 0 else _ord2(self.value)
 
-    @property
-    def ord2_or_inf(self) -> float | int:
-        # Infinite sentinel makes "digit disappeared" a single comparison.
-        o = self.ord2
-        return math.inf if o is None else o
+def _tutte_rows(g: Graph, entries: list[int]) -> list[list[int]]:
+    """The rows of the skew matrix with entries[j] at (u, v) and -entries[j]
+    at (v, u) for the edge (u, v), u < v, of id j + 1."""
+    rows = [[0] * g.n for _ in range(g.n)]
+    for (u, v), x in zip(g.edges, entries):
+        rows[u - 1][v - 1] = x
+        rows[v - 1][u - 1] = -x
+    return rows
 
 
 def build_tutte_matrix(g: Graph, w: WeightFunction) -> TutteMatrix:
     if w.m != g.m:
         raise ValueError(f"weight function covers {w.m} edges, graph has {g.m}")
-    rows = [[0] * g.n for _ in range(g.n)]
-    for j, (u, v) in enumerate(g.edges):
-        x = 1 << w.values[j]  # 2^w(e), exact
-        rows[u - 1][v - 1] = x
-        rows[v - 1][u - 1] = -x
+    rows = _tutte_rows(g, [1 << x for x in w.values])  # 2^w(e), exact
     return TutteMatrix(g.n, tuple(tuple(r) for r in rows))
 
 
@@ -101,7 +98,8 @@ def _bareiss(rows: list[list[int]]) -> int:
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination over GF(p); destructive."""
+    """Gaussian elimination over GF(p), reading every entry mod p, so the
+    rows may hold any integers; destructive."""
     n = len(rows)
     det = 1
     for k in range(n):
@@ -158,61 +156,9 @@ def is_prime(x: int) -> bool:
     return True
 
 
-_PRIME_FLOOR = 1 << 30
-_prime_cache: list[int] = []
-
-
-def _primes_above_floor(count: int) -> list[int]:
-    """Smallest `count` primes above 2^30, cached across calls."""
-    candidate = _prime_cache[-1] + 1 if _prime_cache else _PRIME_FLOOR + 1
-    while len(_prime_cache) < count:
-        if is_prime(candidate):
-            _prime_cache.append(candidate)
-        candidate += 2 if candidate % 2 else 1
-    return _prime_cache[:count]
-
-
-def determinant(matrix: TutteMatrix, mode: str = "exact") -> DeterminantResult:
-    """Exact determinant, via fraction-free elimination or via CRT over
-    enough 30-bit-plus primes to exceed the Hadamard bound.  Both modes
-    agree bit-exactly."""
-    if mode == "exact":
-        value = _bareiss([list(r) for r in matrix.rows])
-        return DeterminantResult(value)
-    if mode != "modular-crt":
-        raise ValueError(f"unknown determinant mode {mode!r}")
-    n = matrix.size
-    if n == 0:
-        return DeterminantResult(1)
-    max_entry = max((abs(x) for row in matrix.rows for x in row), default=0)
-    if max_entry == 0:
-        return DeterminantResult(0)
-    # |det| <= n^(n/2) * B^n; take enough primes for the symmetric range.
-    bound = 2 * pow(n, (n + 1) // 2) * pow(max_entry, n) + 1
-    primes: list[int] = []
-    product = 1
-    i = 0
-    while product <= bound:
-        i += 1
-        primes = _primes_above_floor(i)
-        product = math.prod(primes)
-    residues = []
-    for p in primes:
-        rows = [[x % p for x in row] for row in matrix.rows]
-        residues.append(_det_mod(rows, p))
-    value = _crt(residues, primes)
-    if value > product // 2:
-        value -= product
-    return DeterminantResult(value)
-
-
-def _crt(residues: list[int], moduli: list[int]) -> int:
-    total = 0
-    product = math.prod(moduli)
-    for r, p in zip(residues, moduli):
-        q = product // p
-        total += r * q * pow(q, p - 2, p)
-    return total % product
+def determinant(matrix: TutteMatrix) -> DeterminantResult:
+    """Exact determinant, by fraction-free elimination."""
+    return DeterminantResult(_bareiss([list(r) for r in matrix.rows]))
 
 
 def decide_random(g: Graph, prime: int, trials: int, seed: int) -> bool:
@@ -232,11 +178,7 @@ def decide_random(g: Graph, prime: int, trials: int, seed: int) -> bool:
         raise ValueError(f"prime {prime} too small, need > n^2 = {g.n * g.n}")
     rng = random.Random(seed)
     for _ in range(trials):
-        values = [rng.randrange(prime) for _ in range(g.m)]
-        rows = [[0] * g.n for _ in range(g.n)]
-        for j, (u, v) in enumerate(g.edges):
-            rows[u - 1][v - 1] = values[j]
-            rows[v - 1][u - 1] = (-values[j]) % prime
+        rows = _tutte_rows(g, [rng.randrange(prime) for _ in range(g.m)])
         if _det_mod(rows, prime) != 0:
             return True
     return False
@@ -338,7 +280,7 @@ def determinant_search(g: Graph, w: WeightFunction) -> SearchOutcome:
         raise ValueError(f"weight function covers {w.m} edges, graph has {g.m}")
     if any(x < 1 for x in w.values):
         raise ValueError("search requires strictly positive weights")
-    d, adj = _inverse([list(r) for r in build_tutte_matrix(g, w).rows])
+    d, adj = _inverse(_tutte_rows(g, [1 << x for x in w.values]))
     if d == 0:
         if min_weight_perfect_matching(g, w.values) is None:
             return SearchOutcome(STATUS_NO_PM, None, None, 0, None, ())

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Collection
 
-from .graphs import DEFAULT_SIZE_GUARD, EdgeVector, Graph, enumerate_perfect_matchings
+from .graphs import EdgeVector, Graph, enumerate_perfect_matchings
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,6 @@ def concatenate(w: WeightFunction, w2: WeightFunction, padding: int) -> WeightFu
     return WeightFunction(w.n, values, provenance="concat")
 
 
-def default_padding(n: int) -> int:
-    """The padding used when the right-hand side is a plain family member."""
-    return n**21
-
-
 def separating_weights(
     vectors: Collection[EdgeVector],
     n: int,
@@ -133,13 +128,13 @@ def random_weights(g: Graph, seed: int) -> WeightFunction:
     return WeightFunction(g.n, values, provenance="random")
 
 
-def is_isolating(g: Graph, w: WeightFunction, max_vertices: int = DEFAULT_SIZE_GUARD) -> bool:
+def is_isolating(g: Graph, w: WeightFunction) -> bool:
     """True iff exactly one perfect matching attains the minimum total
     weight (False when the graph has no perfect matching).  Raises when w
     has another edge count than g."""
     if w.m != g.m:
         raise ValueError(f"{w.m} weights for a graph with {g.m} edges")
-    matchings = enumerate_perfect_matchings(g, max_vertices)
+    matchings = enumerate_perfect_matchings(g)
     if not matchings:
         return False
     totals = [w.matching_weight(mm) for mm in matchings]

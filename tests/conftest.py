@@ -10,6 +10,15 @@ settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
 
+def vertex_mask(vertices) -> int:
+    """The mask of a set of vertex labels, bit v - 1 for vertex v: the
+    vertex-set type of faces and engine."""
+    acc = 0
+    for v in vertices:
+        acc |= 1 << (v - 1)
+    return acc
+
+
 def complete_graph(n: int) -> Graph:
     return graph_from_edges(n, itertools.combinations(range(1, n + 1), 2))
 

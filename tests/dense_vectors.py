@@ -2,7 +2,7 @@
 as the reference oracles compute them, and the one conversion to and from
 the library's sparse EdgeVector."""
 
-from matchiso.graphs import EdgeVector
+from matchiso.graphs import EdgeVector, dense_sorted
 
 
 def canonical_sign(vec) -> tuple[int, ...]:
@@ -23,7 +23,8 @@ def to_dense(v: EdgeVector, m: int) -> tuple[int, ...]:
 
 
 def dense_all(vectors, m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(to_dense(v, m) for v in vectors)
+    """The dense tuples of a collection of vectors, sorted."""
+    return tuple(to_dense(v, m) for v in dense_sorted(vectors, m))
 
 
 def to_sparse(vec) -> EdgeVector:

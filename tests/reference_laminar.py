@@ -3,7 +3,12 @@ Each one rescans a family of vertex masks pairwise or from the largest
 member down, where the library places a set in the forest of the family
 once."""
 
-from matchiso.graphs import crossing
+
+def crossing(s, t) -> bool:
+    """S and T cross when S&T, S-T and T-S are all nonempty: S&T is neither
+    empty nor S nor T, for two vertex masks."""
+    common = s & t
+    return bool(common) and common != s and common != t
 
 
 def laminar_check(sets) -> tuple[bool, tuple | None]:

@@ -8,7 +8,9 @@ it report a wrong `matched`, or `no-perfect-matching` for a graph that has
 one.
 """
 
-from matchiso import Graph, WeightFunction, build_tutte_matrix, determinant
+import math
+
+from matchiso import DeterminantResult, Graph, WeightFunction, build_tutte_matrix, determinant
 from matchiso.graphs import edge_mask, is_perfect_matching
 from matchiso.tutte import (
     STATUS_MATCHED,
@@ -16,22 +18,34 @@ from matchiso.tutte import (
     STATUS_NOT_ISOLATING,
     EdgeVerdict,
     SearchOutcome,
+    _ord2,
 )
+
+
+def ord2(res: DeterminantResult) -> int | None:
+    """Largest k with 2^k dividing the value; None for value 0."""
+    return None if res.value == 0 else _ord2(res.value)
+
+
+def ord2_or_inf(res: DeterminantResult) -> float | int:
+    """The 2-adic order, infinite for 0: "digit disappeared" is one comparison."""
+    o = ord2(res)
+    return math.inf if o is None else o
 
 
 def per_edge_search(g: Graph, w: WeightFunction) -> SearchOutcome:
     full = determinant(build_tutte_matrix(g, w))
     if full.value == 0:
         return SearchOutcome(STATUS_NO_PM, None, None, 0, None, ())
-    target = full.ord2
+    target = ord2(full)
     verdicts = []
     selected = []
     for edge_id in range(1, g.m + 1):
         sub = Graph(g.n, g.edges[: edge_id - 1] + g.edges[edge_id:])
         sub_w = WeightFunction(w.n, w.values[: edge_id - 1] + w.values[edge_id:], w.provenance)
         res = determinant(build_tutte_matrix(sub, sub_w))
-        hit = res.ord2_or_inf > target
-        verdicts.append(EdgeVerdict(edge_id, res.value == 0, res.ord2, hit))
+        hit = ord2_or_inf(res) > target
+        verdicts.append(EdgeVerdict(edge_id, res.value == 0, ord2(res), hit))
         if hit:
             selected.append(edge_id)
     candidate = edge_mask(selected)

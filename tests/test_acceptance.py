@@ -27,14 +27,12 @@ from matchiso import (
     graph_from_edges,
     is_isolating,
     isolate_derandomized,
-    laminar_spans_tight_cuts,
     min_weight_subface,
     perfect_matching_face,
     random_weights,
     respects_face,
     separating_weights,
     tight_odd_sets,
-    uncross_pair,
 )
 from matchiso.engine import advance, ceil_log2, initial_state
 from matchiso.faces import (
@@ -43,7 +41,7 @@ from matchiso.faces import (
     is_contractible,
     singletons,
 )
-from matchiso.graphs import bit_positions, crossing, edge_mask
+from matchiso.graphs import bit_positions, edge_mask
 from matchiso.smallgraphs import connected_graphs
 from matchiso.tutte import STATUS_MATCHED, STATUS_NO_PM, STATUS_NOT_ISOLATING, is_prime
 
@@ -55,7 +53,10 @@ from conftest import (
 )
 import reference_census
 from dense_vectors import dense_all, to_sparse
+from reference_determinant import crt_determinant
+from reference_laminar import crossing
 from reference_search import per_edge_search
+from reference_uncrossing import laminar_spans_tight_cuts, uncross_pair
 
 EXPECTED_CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 # sha256 of the corpus listing, ";".join(f"{g.n}:{g.edges}"): 12,113 graphs, every representative in order
@@ -247,9 +248,7 @@ def test_criterion_4_determinant_cross_check():
             continue
         w = WeightFunction(n, tuple(rng.randint(0, 2 * g.m) for _ in range(g.m)))
         mat = build_tutte_matrix(g, w)
-        exact = determinant(mat, "exact")
-        modular = determinant(mat, "modular-crt")
-        assert exact.value == modular.value
+        assert determinant(mat).value == crt_determinant(mat)
         done += 1
     announce(4, time.perf_counter() - started, "1000 matrices, exact == CRT bit-exactly")
 
@@ -272,7 +271,7 @@ def test_criterion_5_family_bit_exactness():
 
 def test_criterion_6_concatenation_subface_law():
     started = time.perf_counter()
-    from matchiso import concatenate, default_padding, family_member
+    from matchiso import concatenate, family_member
 
     rng = random.Random(606)
     done = 0
@@ -285,7 +284,8 @@ def test_criterion_6_concatenation_subface_law():
         w = family_member(rng.randint(2, 200), n, g.m)
         w2 = family_member(rng.randint(2, 200), n, g.m)
         sequential = min_weight_subface(min_weight_subface(face, w), w2)
-        combined = min_weight_subface(face, concatenate(w, w2, default_padding(n)))
+        # n**21: the padding of the CLI's weights --concat at its default --padding-exponent
+        combined = min_weight_subface(face, concatenate(w, w2, n**21))
         assert sequential.matchings == combined.matchings
         done += 1
     announce(6, time.perf_counter() - started, "500 triples, exact equality")
@@ -417,7 +417,7 @@ def test_criterion_11_circuit_census(corpus8_with_pm):
         while True:
             lam = state.threshold
             h = contract_face(state.face, state.laminar, lam)
-            assert bounded_circuit_vectors(h, lam) == ()
+            assert bounded_circuit_vectors(h, lam) == set()
             vectors = bounded_circuit_vectors(h, 2 * lam)
             if i % 5 == 0:  # the census that walks both orientations, on a fifth of the graphs
                 assert dense_all(vectors, g.m) == reference_census.bounded_circuit_vectors(h, 2 * lam)

@@ -574,6 +574,64 @@ def test_tight_walk_guard_admits_its_limit(capsys, tmp_path, monkeypatch, verb):
     assert "15 matchings on 6 vertices reads 480 bytes" in err and "exceeds 479" in err
 
 
+@pytest.mark.parametrize("verb", [["face"], ["goodness", "--lambda", "2"]])
+def test_weighing_guard_admits_its_limit(capsys, tmp_path, monkeypatch, verb):
+    """Member 2 weighs every edge 1, so each index of --weights 2,2,2 weighs
+    all 15 matchings of K6, 45 in all: at that limit face and goodness run,
+    and one below it both are refused in under a second, before the third
+    minimization."""
+    import time
+
+    import matchiso.cli as cli
+
+    argv = (verb[0], "--graph", _complete_graph_file(tmp_path, 6), *verb[1:], "--weights", "2,2,2")
+    monkeypatch.setattr(cli, "FACE_MAX_WEIGHINGS", 45)
+    assert run(capsys, *argv)[0] == 0
+
+    minimized = []
+    min_weight_subface = cli.min_weight_subface
+
+    def count(face, w):
+        minimized.append(len(face))
+        return min_weight_subface(face, w)
+
+    monkeypatch.setattr(cli, "min_weight_subface", count)
+    monkeypatch.setattr(cli, "FACE_MAX_WEIGHINGS", 44)
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert code == 3 and out == ""
+    assert minimized == [15, 15]
+    assert "weigh 45 matchings" in err and "exceeds 44" in err
+
+
+def test_goodness_witness_is_the_least_circuit_in_dense_order(capsys, tmp_path, monkeypatch):
+    """The census is a set, so its order is no contract: handed the circuits
+    of K4 at lambda 4 (three parallel edges between the triple {1, 2, 3}
+    and vertex 4) in descending order, goodness still reports the least in
+    the order of their dense tuples."""
+    import matchiso.faces as faces
+    from matchiso import extend_to_maximal_laminar, parse_graph, perfect_matching_face, tight_odd_sets
+    from matchiso.graphs import dense_sorted
+
+    import reference_census
+
+    census = faces.bounded_circuit_vectors
+
+    def descending(h, bound):
+        return dense_sorted(census(h, bound), h.m)[::-1]
+
+    monkeypatch.setattr(faces, "bounded_circuit_vectors", descending)
+    code, out, _ = run(capsys, "goodness", "--graph", _complete_graph_file(tmp_path, 4), "--lambda", "4")
+    assert code == 0
+    result = payload(out)["result"]
+    face = perfect_matching_face(parse_graph(K4_TEXT))
+    fam = extend_to_maximal_laminar(faces.singletons(4), tight_odd_sets(face))
+    expected = reference_census.bounded_circuit_vectors(faces.contract_face(face, fam, 4), 4)
+    assert len(expected) == 3
+    assert result["failed"] == "circuit" and result["witness"] == list(expected[0])
+
+
 def test_search_refuses_weights_past_the_bit_limit(capsys, c4_file):
     """One step above the limit: n * max(w) on C4 is the limit plus 4."""
     import time
@@ -769,3 +827,36 @@ def test_edge_vectors_stay_sparse():
     wrong = [(kind, scope, line) for kind, scope, line in found if scope not in allowed[kind]]
     assert not wrong, f"vectors built outside their one form: {wrong}"
     assert {scope for _, scope, _ in found} == set().union(*allowed.values())
+
+
+def test_library_holds_no_test_only_options_or_names():
+    """The library keeps one exact determinant and one size guard: no def in
+    src/matchiso takes a mode or a max_vertices parameter.  The lemma
+    checkers, the CRT determinant and the other names that only tests
+    reached now live in tests/, and none can be imported from matchiso."""
+    import ast
+    import importlib
+
+    from matchiso import DeterminantResult
+
+    src = Path(__file__).resolve().parent.parent / "src" / "matchiso"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                found += [(path.name, node.name, p) for p in sorted(params & {"mode", "max_vertices"})]
+    assert not found, f"settable values the library does not need: {found}"
+    moved = {
+        "graphs": ("crossing", "vertex_mask"),
+        "weights": ("default_padding",),
+        "tutte": ("_PRIME_FLOOR", "_prime_cache", "_primes_above_floor", "_crt"),
+        "faces": ("is_tight", "_reduce_row", "laminar_spans_tight_cuts", "UncrossCertificate", "uncross_pair"),
+    }
+    package = importlib.import_module("matchiso")
+    for module, names in moved.items():
+        namespace = importlib.import_module(f"matchiso.{module}")
+        for name in names:
+            assert not hasattr(package, name) and not hasattr(namespace, name), f"matchiso.{module}.{name}"
+    assert not hasattr(DeterminantResult, "ord2") and not hasattr(DeterminantResult, "ord2_or_inf")

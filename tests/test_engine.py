@@ -24,10 +24,10 @@ from matchiso import (
 )
 from matchiso.engine import ceil_log2, chain_phase_spans, compose_log, PhaseRecord
 from matchiso.faces import contract_face, bounded_circuit_vectors
-from matchiso.graphs import bit_positions, edge_mask, vertex_mask
+from matchiso.graphs import bit_positions, edge_mask
 from matchiso.tutte import STATUS_MATCHED
 
-from conftest import random_graph_with_pm
+from conftest import random_graph_with_pm, vertex_mask
 from dense_vectors import to_sparse
 
 f = edge_mask  # a matching: the mask of its edge ids

@@ -28,6 +28,7 @@ from matchiso.faces import (
     singletons,
     tight_odd_sets,
 )
+from matchiso.graphs import dense_sorted
 from matchiso.weights import WeightFunction
 
 import reference_forcing as ref
@@ -91,7 +92,7 @@ def compare_lifts(face, fam, threshold, bound) -> tuple[int, int]:
     h = contract_face(face, fam, threshold)
     m = face.g.m
     lifted = refused = 0
-    for z in bounded_circuit_vectors(h, bound)[:40]:
+    for z in dense_sorted(bounded_circuit_vectors(h, bound), m)[:40]:
         got = outcome(lift_contracted_vector, z, face, h)
         want = outcome(ref.lift, to_dense(z, m), face, h)
         if isinstance(want, tuple):  # the lift is canonical; the scan's is not

@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 from matchiso import LaminarFamily, extend_to_maximal_laminar, goodness_check, tight_odd_sets
 from matchiso.engine import _disjoint_chains, advance, initial_state
 from matchiso.faces import _maximality_witness, _place, _set_sorted, perfect_matching_face, singletons
-from matchiso.graphs import vertex_mask
-
 import reference_laminar as ref
-from conftest import cycle_graph, random_graph_with_pm
+from conftest import cycle_graph, random_graph_with_pm, vertex_mask
 
 v = vertex_mask
 

@@ -27,7 +27,8 @@ from matchiso.tutte import (
 )
 
 from conftest import random_graph_with_pm
-from reference_search import per_edge_search
+from reference_determinant import crt_determinant
+from reference_search import ord2, ord2_or_inf, per_edge_search
 
 
 def leibniz_determinant(rows):
@@ -67,7 +68,7 @@ def test_single_edge_matrix_and_determinant():
     mat = build_tutte_matrix(g, WeightFunction(2, (3,)))
     assert mat.rows == ((0, 8), (-8, 0))
     res = determinant(mat)
-    assert res.value == 64 and res.ord2 == 6
+    assert res.value == 64 and ord2(res) == 6
 
 
 def test_triangle_determinant_zero(triangle):
@@ -75,7 +76,7 @@ def test_triangle_determinant_zero(triangle):
     mat = build_tutte_matrix(triangle, w)
     assert all(mat.rows[i][i] == 0 for i in range(3))
     res = determinant(mat)
-    assert res.value == 0 and res.ord2 is None and res.ord2_or_inf == math.inf
+    assert res.value == 0 and ord2(res) is None and ord2_or_inf(res) == math.inf
 
 
 def test_c4_determinant_value(c4):
@@ -83,8 +84,8 @@ def test_c4_determinant_value(c4):
     mat = build_tutte_matrix(c4, WeightFunction(4, (1, 1, 1, 2)))
     res = determinant(mat)
     assert res.value == leibniz_determinant([list(r) for r in mat.rows]) == 144
-    assert res.ord2 == 4
-    assert determinant(mat, "modular-crt").value == 144
+    assert ord2(res) == 4
+    assert crt_determinant(mat) == 144
 
 
 def test_weight_missing_edge(c4):
@@ -106,9 +107,9 @@ def test_exact_matches_leibniz_and_crt(n, data):
     g = graph_from_edges(n, pairs)
     w = WeightFunction(n, tuple(data.draw(st.integers(0, 8)) for _ in range(g.m)))
     mat = build_tutte_matrix(g, w)
-    exact = determinant(mat, "exact").value
+    exact = determinant(mat).value
     assert exact == leibniz_determinant([list(r) for r in mat.rows])
-    assert exact == determinant(mat, "modular-crt").value
+    assert exact == crt_determinant(mat)
 
 
 @given(st.integers(2, 8), st.data())
@@ -122,7 +123,7 @@ def test_determinant_is_square_with_even_ord2(n, data):
     assert res.value >= 0
     assert math.isqrt(res.value) ** 2 == res.value
     if res.value:
-        assert res.ord2 % 2 == 0
+        assert ord2(res) % 2 == 0
 
 
 def test_decide_random_c4_true(c4):

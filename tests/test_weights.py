@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from matchiso import (
     WeightFunction,
     concatenate,
-    default_padding,
     family_member,
     is_isolating,
     random_weights,
@@ -47,7 +46,7 @@ def test_family_matches_modular_exponentiation_oracle(n, k, m):
 def test_concat_frozen_value():
     w = WeightFunction(4, (1,))
     w2 = WeightFunction(4, (3,))
-    padded = concatenate(w, w2, default_padding(4))
+    padded = concatenate(w, w2, 4**21)
     assert padded.values == (4398046511107,)  # 4^21 + 3
     assert padded.provenance == "concat"
 
