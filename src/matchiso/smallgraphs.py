@@ -19,6 +19,14 @@ come from a generating set of the group, one automorphism per (i, w) that
 fixes 0..i-1 and maps i to w, each found by the same isomorphism search
 with those vertices recoloured apart.
 
+A candidate's signatures are derived from its base's, not counted afresh.
+They are packed with one field width per call, max_n.bit_length(), so a
+base and its candidates share it.  Attaching the new vertex to nb gives each
+u in nb one more degree and a neighbour of degree |nb|, and moves u's term
+in each of its old neighbours' signatures up by one field; the new vertex
+sees each u in nb at its new degree.  That costs deg(u) steps per u in nb,
+not a pass over every edge.
+
 Used by the acceptance suite as the exhaustive corpus; counts are checked
 against the known sequences (all graphs: 1, 2, 4, 11, 34, 156, 1044, 12346;
 connected: 1, 1, 2, 6, 21, 112, 853, 11117).
@@ -29,15 +37,16 @@ from __future__ import annotations
 from .graphs import Graph
 
 
-def _signatures(adj: tuple[int, ...], k: int) -> list[int]:
+def _signatures(adj: tuple[int, ...], width: int) -> list[int]:
     """Per vertex: its degree and the multiset of its neighbours' degrees,
-    packed into one int (a neighbour of degree d adds 1 << (d + 1) * k;
-    fewer than k neighbours share a degree, so no field overflows)."""
-    deg = [a.bit_count() for a in adj]
-    weight = [1 << (d + 1) * k for d in deg]
+    packed into one int of fields width bits wide.  Field 0 holds the
+    degree and field d + 1 the number of neighbours of degree d, so a
+    neighbour of degree d adds 1 << (d + 1) * width.  The packing is
+    injective when every degree and every count is below 1 << width."""
+    weight = [1 << (a.bit_count() + 1) * width for a in adj]
     sigs = []
-    for v in range(k):
-        sig, rest = deg[v], adj[v]
+    for row in adj:
+        sig, rest = row.bit_count(), row
         while rest:
             low = rest & -rest
             sig += weight[low.bit_length() - 1]
@@ -46,30 +55,81 @@ def _signatures(adj: tuple[int, ...], k: int) -> list[int]:
     return sigs
 
 
+def _signature_steps(adj: tuple[int, ...], width: int) -> tuple[list[int], list[int]]:
+    """Per vertex u of adj: lift[u], the term that u adds to a neighbour's
+    signature once its degree has grown by one, and delta[u], how much each
+    of u's neighbours' signatures grows when it does."""
+    lift = [1 << (a.bit_count() + 2) * width for a in adj]
+    return lift, [x - (x >> width) for x in lift]
+
+
+def _extended_signatures(adj: tuple[int, ...], sigs: list[int], lift: list[int], delta: list[int],
+                         nb: int, width: int) -> list[int]:
+    """The signatures of adj with a new last vertex joined to the vertex
+    mask nb, from sigs = _signatures(adj, width) and the _signature_steps
+    of adj: each u in nb gains one degree and a neighbour of degree |nb|,
+    and each of u's old neighbours sees u's degree grow by one."""
+    out = sigs + [0]
+    size = nb.bit_count()
+    gain = 1 + (1 << (size + 1) * width)
+    new = size
+    rest = nb
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        out[u] += gain
+        new += lift[u]
+        step, around = delta[u], adj[u]
+        while around:
+            bit = around & -around
+            out[bit.bit_length() - 1] += step
+            around ^= bit
+        rest ^= low
+    out[-1] = new
+    return out
+
+
 def _isomorphic(a: tuple[int, ...], sa: list[int], b: tuple[int, ...], sb: list[int], k: int) -> list[int] | None:
     """A bijection v -> image[v] with sa[v] == sb[image[v]] that is an
     isomorphism from a onto b, or None.  Vertices of a are mapped in index
-    order."""
+    order, each onto the least image that still fits, by one loop over the
+    depths v: left[v] holds the images of v's colour not yet tried at that
+    depth, so a step back resumes where that depth stopped."""
+    colour: dict[int, int] = {}
+    for w, sig in enumerate(sb):
+        colour[sig] = colour.get(sig, 0) | 1 << w
     image = [0] * k
-
-    def extend(v: int, used: int) -> bool:
-        if v == k:
-            return True
-        # the images of v's already-mapped neighbours, which w must match
-        want = 0
-        rest = a[v] & ((1 << v) - 1)
+    want = [0] * k  # the images of v's mapped neighbours, which w's mapped neighbours must be
+    left = [0] * k
+    if k:
+        left[0] = colour.get(sa[0], 0)
+    v = used = 0
+    while v < k:
+        rest, need = left[v], want[v]
         while rest:
             low = rest & -rest
-            want |= 1 << image[low.bit_length() - 1]
             rest ^= low
-        for w in range(k):
-            if not used >> w & 1 and sb[w] == sa[v] and b[w] & used == want:
-                image[v] = w
-                if extend(v + 1, used | 1 << w):
-                    return True
-        return False
-
-    return image if extend(0, 0) else None
+            if b[low.bit_length() - 1] & used == need:
+                break
+        else:
+            if not v:
+                return None
+            v -= 1
+            used ^= 1 << image[v]
+            continue
+        left[v] = rest
+        image[v] = low.bit_length() - 1
+        used |= low
+        v += 1
+        if v < k:
+            need, mapped = 0, a[v] & ((1 << v) - 1)
+            while mapped:
+                bit = mapped & -mapped
+                need |= 1 << image[bit.bit_length() - 1]
+                mapped ^= bit
+            want[v] = need
+            left[v] = colour.get(sa[v], 0) & ~used
+    return image
 
 
 def _automorphism_generators(adj: tuple[int, ...], sigs: list[int], k: int) -> list[list[int]]:
@@ -156,10 +216,13 @@ def graphs_up_to_iso(max_n: int) -> dict[int, list[tuple[int, ...]]]:
     """All graphs on 1..max_n vertices up to isomorphism, as adjacency
     bitmask tuples."""
     levels: dict[int, list[tuple[int, ...]]] = {1: [(0,)]} if max_n >= 1 else {}
+    width = max_n.bit_length()  # every degree and count is below max_n
     for k in range(2, max_n + 1):
         buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], list[int]]]] = {}
         for base in levels[k - 1]:
-            gens = _automorphism_generators(base, _signatures(base, k - 1), k - 1)
+            base_sigs = _signatures(base, width)
+            lift, delta = _signature_steps(base, width)
+            gens = _automorphism_generators(base, base_sigs, k - 1)
             for nb in _orbit_minima(gens, k - 1):
                 adj = list(base) + [nb]
                 rest = nb
@@ -168,7 +231,7 @@ def graphs_up_to_iso(max_n: int) -> dict[int, list[tuple[int, ...]]]:
                     adj[low.bit_length() - 1] |= 1 << (k - 1)
                     rest ^= low
                 tup = tuple(adj)
-                sigs = _signatures(tup, k)
+                sigs = _extended_signatures(base, base_sigs, lift, delta, nb, width)
                 kept = buckets.setdefault(tuple(sorted(sigs)), [])
                 if not any(_isomorphic(tup, sigs, rep, rsigs, k) for rep, rsigs in kept):
                     kept.append((tup, sigs))

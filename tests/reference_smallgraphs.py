@@ -1,10 +1,41 @@
-"""The canonical form that smallgraphs.graphs_up_to_iso deduplicated with
-before invariant buckets and an isomorphism test replaced it, kept as a test
-oracle: colour refinement, then the least adjacency bitstring over every
-ordering the stable colouring allows.  Exhaustive within colour classes,
-hence exact, and slow on symmetric graphs."""
+"""Two retired paths of smallgraphs, kept as test oracles.
+
+The canonical form that graphs_up_to_iso deduplicated with before invariant
+buckets and an isomorphism test replaced it: colour refinement, then the
+least adjacency bitstring over every ordering the stable colouring allows.
+Exhaustive within colour classes, hence exact, and slow on symmetric graphs.
+
+The recursive isomorphism search that smallgraphs._isomorphic ran before it
+became one loop over the depths: the same vertex order and the same
+ascending order of images, so both return the same image or None."""
 
 from itertools import permutations
+
+
+def isomorphism(a: tuple[int, ...], sa: list[int], b: tuple[int, ...], sb: list[int], k: int) -> list[int] | None:
+    """A bijection v -> image[v] with sa[v] == sb[image[v]] that is an
+    isomorphism from a onto b, or None.  Vertices of a are mapped in index
+    order."""
+    image = [0] * k
+
+    def extend(v: int, used: int) -> bool:
+        if v == k:
+            return True
+        # the images of v's already-mapped neighbours, which w must match
+        want = 0
+        rest = a[v] & ((1 << v) - 1)
+        while rest:
+            low = rest & -rest
+            want |= 1 << image[low.bit_length() - 1]
+            rest ^= low
+        for w in range(k):
+            if not used >> w & 1 and sb[w] == sa[v] and b[w] & used == want:
+                image[v] = w
+                if extend(v + 1, used | 1 << w):
+                    return True
+        return False
+
+    return image if extend(0, 0) else None
 
 
 def _refine_colors(adj: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 """The corpus generator against its former canonical-form dedupe, its
-isomorphism test on graphs that the bucket invariant cannot tell apart, and
-the automorphism generators and neighbourhood orbits that prune it."""
+isomorphism test on graphs that the bucket invariant cannot tell apart and
+against its former recursive form, the signatures it derives for each
+candidate against a full recount, and the automorphism generators and
+neighbourhood orbits that prune it."""
 
 import ast
 import itertools
@@ -10,11 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from matchiso import graph_from_edges
+from matchiso import graph_from_edges, smallgraphs
 from matchiso.smallgraphs import (
     _automorphism_generators,
+    _extended_signatures,
     _isomorphic,
     _orbit_minima,
+    _signature_steps,
     _signatures,
     connected_graphs,
     graphs_up_to_iso,
@@ -44,17 +48,28 @@ def relabel(adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def signatures(adj: tuple[int, ...]) -> list[int]:
+    """The signatures at the field width graphs_up_to_iso(len(adj)) packs with."""
+    return _signatures(adj, len(adj).bit_length())
+
+
 def bucket_key(adj: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(_signatures(adj, len(adj))))
+    return tuple(sorted(signatures(adj)))
 
 
 def isomorphic(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     k = len(a)
-    return _isomorphic(a, _signatures(a, k), b, _signatures(b, k), k) is not None
+    return _isomorphic(a, signatures(a), b, signatures(b), k) is not None
 
 
 def generators(adj: tuple[int, ...]) -> list[list[int]]:
-    return _automorphism_generators(adj, _signatures(adj, len(adj)), len(adj))
+    return _automorphism_generators(adj, signatures(adj), len(adj))
+
+
+def attach(base: tuple[int, ...], nb: int) -> tuple[int, ...]:
+    """base with a new last vertex joined to the vertex mask nb."""
+    k = len(base)
+    return tuple(row | (nb >> v & 1) << k for v, row in enumerate(base)) + (nb,)
 
 
 def group_order(gens: list[list[int]], k: int) -> int:
@@ -174,6 +189,102 @@ def test_isomorphism_respects_the_given_colours():
     p3 = adjacency(graph_from_edges(3, [(1, 2), (2, 3)]))
     assert _isomorphic(p3, [0, 1, 0], p3, [0, 1, 0], 3)
     assert not _isomorphic(p3, [0, 1, 0], p3, [1, 0, 0], 3)
+    for sb in ([0, 1, 0], [1, 0, 0]):
+        assert _isomorphic(p3, [0, 1, 0], p3, sb, 3) == reference.isomorphism(p3, [0, 1, 0], p3, sb, 3)
+
+
+def test_search_matches_the_recursive_oracle_on_every_corpus_call(monkeypatch, oracle7):
+    """Every search that graphs_up_to_iso(7) runs, for the buckets and for
+    the automorphism generators, returns the recursive oracle's image."""
+    calls = []
+
+    def recording(a, sa, b, sb, k):
+        image = _isomorphic(a, sa, b, sb, k)
+        calls.append((a, sa, b, sb, k, image))
+        return image
+
+    monkeypatch.setattr(smallgraphs, "_isomorphic", recording)
+    assert graphs_up_to_iso(7) == oracle7
+    assert len(calls) > 5000
+    assert any(image is None for *_, image in calls) and any(image for *_, image in calls)
+    for a, sa, b, sb, k, image in calls:
+        assert image == reference.isomorphism(a, sa, b, sb, k), (a, sa, b, sb)
+        if min(sa) >= 0:  # a bucket search, not a recoloured automorphism search
+            assert sa == _signatures(a, 3) and sb == _signatures(b, 3)
+
+
+def test_search_matches_the_recursive_oracle_on_random_relabellings(oracle7):
+    """Seeded relabellings of graphs on 6 and 7 vertices, onto either the
+    same graph or another one with the same signature multiset."""
+    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for k in (6, 7):
+        for adj in oracle7[k]:
+            buckets.setdefault(bucket_key(adj), []).append(adj)
+    shared = [b for b in buckets.values() if len(b) > 1]
+    rng = random.Random(27)
+    found = {True: 0, False: 0}
+    for i in range(500):
+        bucket = rng.choice(shared)
+        a = rng.choice(bucket)
+        b = a if i % 2 else rng.choice([adj for adj in bucket if adj != a])
+        perm = list(range(len(a)))
+        rng.shuffle(perm)
+        b = relabel(b, perm)
+        sa, sb = signatures(a), signatures(b)
+        image = _isomorphic(a, sa, b, sb, len(a))
+        assert image == reference.isomorphism(a, sa, b, sb, len(a)), (a, b)
+        found[image is not None] += 1
+    assert found[True] == 250 and found[False] == 250
+
+
+def test_generators_match_under_the_recursive_oracle(monkeypatch):
+    graphs = [adj for level in graphs_up_to_iso(6).values() for adj in level]
+    gens = [generators(adj) for adj in graphs]
+    monkeypatch.setattr(smallgraphs, "_isomorphic", reference.isomorphism)
+    assert [generators(adj) for adj in graphs] == gens
+
+
+@pytest.mark.parametrize("max_n", [7, 8])
+def test_extended_signatures_match_a_full_recount(max_n):
+    """On every candidate of levels 2..7, each orbit-minimum neighbourhood
+    of each base, the derived signatures equal _signatures recomputed at
+    the field width that graphs_up_to_iso(max_n) packs with."""
+    width = max_n.bit_length()
+    candidates = 0
+    for base in (adj for level in graphs_up_to_iso(6).values() for adj in level):
+        sigs = _signatures(base, width)
+        lift, delta = _signature_steps(base, width)
+        for nb in _orbit_minima(generators(base), len(base)):
+            derived = _extended_signatures(base, sigs, lift, delta, nb, width)
+            assert derived == _signatures(attach(base, nb), width), (base, nb)
+            candidates += 1
+    assert candidates > 1000
+
+
+def fields(sig: int, width: int, count: int) -> list[int]:
+    """The first count fields of a packed signature; nothing is above them."""
+    assert sig >> count * width == 0
+    return [sig >> i * width & ((1 << width) - 1) for i in range(count)]
+
+
+@pytest.mark.parametrize("max_n, width", [(7, 3), (8, 4), (15, 4), (16, 5)])
+def test_signature_fields_do_not_carry(max_n, width):
+    """A degree of max_n - 1 and a neighbour count of max_n - 1, the largest
+    on max_n vertices, each stay in their own field, both when counted and
+    when derived: the star and the complete graph on max_n vertices, each
+    made by attaching its last vertex to everything."""
+    assert max_n.bit_length() == width
+    top, count = max_n - 1, max_n + 1
+    for base, centre, other in [
+        ((0,) * top, [top, 0, top] + [0] * (count - 3), [1] + [0] * (count - 2) + [1]),
+        (adjacency(complete_graph(top)), [top] + [0] * (count - 2) + [top], [top] + [0] * (count - 2) + [top]),
+    ]:
+        adj = attach(base, (1 << top) - 1)
+        lift, delta = _signature_steps(base, width)
+        for sigs in (_signatures(adj, width),
+                     _extended_signatures(base, _signatures(base, width), lift, delta, (1 << top) - 1, width)):
+            assert fields(sigs[top], width, count) == centre
+            assert all(fields(sig, width, count) == other for sig in sigs[:top])
 
 
 @pytest.mark.parametrize("name, order", [
@@ -239,7 +350,7 @@ def test_one_backtracking_search():
             visit(child, inner)
 
     visit(tree, ())
-    assert recursive == ["_isomorphic.extend"]
+    assert recursive == []
     assert callers == {"_automorphism_generators", "graphs_up_to_iso"}
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
