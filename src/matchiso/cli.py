@@ -31,6 +31,8 @@ from .weights import (
 )
 from .faces import (
     ContractionMultigraph,
+    Face,
+    LaminarFamily,
     contract_face,
     extend_to_maximal_laminar,
     goodness_check,
@@ -225,7 +227,10 @@ def _cmd_weights(args) -> dict:
     return {"n": args.n, "k": args.k, **_weights_payload(w)}
 
 
-def _face_from_args(args, g: Graph):
+def _face_and_family(args) -> tuple[Face, LaminarFamily]:
+    """The face that face and goodness report on, minimized under each --weights family index in order,
+    and a maximal laminar family of its tight sets, behind the weighing and tight-walk guards."""
+    g = _load_graph(args.graph)
     face = perfect_matching_face(g)
     if args.weights:
         weighed = 0
@@ -236,28 +241,21 @@ def _face_from_args(args, g: Graph):
                     f"--weights would weigh {weighed} matchings, which exceeds {FACE_MAX_WEIGHINGS}"
                 )
             face = min_weight_subface(face, family_member(k, g.n, g.m))
-    return face
-
-
-def _check_tight_walk(face) -> None:
     walked = face.tight_walk_bytes()
     if walked > TIGHT_WALK_MAX_BYTES:
         raise SizeGuardExceeded(
-            f"tight-set walk over {len(face)} matchings on {face.g.n} vertices reads {walked} bytes, "
+            f"tight-set walk over {len(face)} matchings on {g.n} vertices reads {walked} bytes, "
             f"which exceeds {TIGHT_WALK_MAX_BYTES}"
         )
+    return face, extend_to_maximal_laminar(singletons(g.n), tight_odd_sets(face))
 
 
 def _cmd_face(args) -> dict:
-    g = _load_graph(args.graph)
-    face = _face_from_args(args, g)
-    _check_tight_walk(face)
-    tight = tight_odd_sets(face)
-    fam = extend_to_maximal_laminar(singletons(g.n), tight)
+    face, fam = _face_and_family(args)
     return {
         "matchings": [list(bit_positions(mm)) for mm in face.matchings],
         "support": list(bit_positions(face.support_mask)),
-        "tightSets": [list(bit_positions(s)) for s in tight],
+        "tightSets": [list(bit_positions(s)) for s in tight_odd_sets(face)],
         "laminar": [list(bit_positions(s)) for s in fam.masks],
     }
 
@@ -274,10 +272,8 @@ def _census_walks(h: ContractionMultigraph, max_node_weight: int) -> int:
 
 
 def _cmd_goodness(args) -> dict:
-    g = _load_graph(args.graph)
-    face = _face_from_args(args, g)
-    _check_tight_walk(face)
-    fam = extend_to_maximal_laminar(singletons(g.n), tight_odd_sets(face))
+    face, fam = _face_and_family(args)
+    g = face.g
     lam = getattr(args, "lambda")
     if 1 <= lam <= 2 * g.n:  # goodness_check refuses other thresholds, or reports before any census
         walks = _census_walks(contract_face(face, fam, lam), lam)

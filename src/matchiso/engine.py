@@ -8,12 +8,13 @@ thresholds.  Each round makes the chain layers of mid-sized tight sets
 contractible (one weight function per doubling phase), removes the short
 alternating circuits of the contraction with one more weight function,
 extends the laminar family maximally over the new tight sets, and verifies
-the progress predicate before continuing.  Obligations are discharged by
-scanning the oblivious weight family for the smallest member with nonzero
-inner product against every obligation vector.  At threshold >= n the face
-is a single matching; the logged members compose into one isolating weight
-function which is cross-checked three ways (brute force, face content,
-determinant search).
+the progress predicate before continuing.  One step, _apply_member,
+discharges obligations: it scans the oblivious weight family for the
+smallest member with nonzero inner product against every obligation
+vector, minimizes the face under it and records it.  At threshold >= n the
+face is a single matching; the logged members compose into one isolating
+weight function which is cross-checked three ways (brute force, face
+content, determinant search).
 """
 
 from __future__ import annotations
@@ -91,15 +92,12 @@ def ceil_log2(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-def _find_member(vectors, n: int, m: int) -> tuple[int, WeightFunction]:
-    """Smallest family member separating the canonical obligation vectors,
-    from one scan up to the family lemma's bound n^3 per vector (at least 7)."""
-    vecs = set(vectors)
-    t_max = max(7, n**3 * len(vecs))
-    found = separating_weights(vecs, n, m, t_max)
-    if found is None:
-        raise EngineError(f"no separating family member up to {t_max}")
-    return found
+def _apply_member(face: Face, vectors, label: str, obligations: int) -> tuple[PhaseRecord, Face]:
+    """The one step that applies a family member: the smallest member
+    separating the vectors, the face minimized under it, and its record."""
+    k, w = separating_weights(vectors, face.g.n, face.g.m)
+    new_face = min_weight_subface(face, w)
+    return PhaseRecord(label, k, w, obligations, new_face is not face), new_face
 
 
 def remove_circuits(
@@ -121,20 +119,10 @@ def remove_circuits(
     h = contract_face(face, fam, beta)
     circuit_vecs = bounded_circuit_vectors(h, bound)
     lifted = [lift_contracted_vector(z, face, h) for z in circuit_vecs]
-    k, w = _find_member(lifted, face.g.n, face.g.m)
-    new_face = min_weight_subface(face, w)
+    record, new_face = _apply_member(face, lifted, f"circuits:bound={bound},beta={beta}", len(circuit_vecs))
     for z in circuit_vecs:
         if respects_face(z, new_face, contraction=h):
-            raise EngineError(
-                f"circuit vector {z} still respects the face after removal"
-            )
-    record = PhaseRecord(
-        label=f"circuits:bound={bound},beta={beta}",
-        k=k,
-        weights=w,
-        obligations=len(circuit_vecs),
-        changed_face=new_face is not face,
-    )
+            raise EngineError(f"circuit vector {z} still respects the face after removal")
     return record, new_face
 
 
@@ -211,18 +199,9 @@ def make_chains_contractible(
                     for hi in chain[p : p + span + 1]:
                         obligations |= _layer_difference_vectors(cur, hi, lo)
             if obligations:
-                k, w = _find_member(obligations, g.n, g.m)
-                new_face = min_weight_subface(cur, w)
-                records.append(
-                    PhaseRecord(
-                        label=f"chain:phase={t},threshold={threshold}",
-                        k=k,
-                        weights=w,
-                        obligations=len(obligations),
-                        changed_face=new_face is not cur,
-                    )
-                )
-                cur = new_face
+                label = f"chain:phase={t},threshold={threshold}"
+                rec, cur = _apply_member(cur, obligations, label, len(obligations))
+                records.append(rec)
     for s in fam.masks:
         if s.bit_count() <= 2 * threshold and not is_contractible(cur, s):
             raise EngineError(f"set {list(bit_positions(s))} not contractible after chain phases")
@@ -285,11 +264,11 @@ def isolate_derandomized(g: Graph) -> IsolationCertificate:
     Doubles the threshold ceil(log2 n) times, then cross-validates the
     composed weight function three independent ways: the brute-force
     minimum is unique, it equals the singleton face content, and the
-    determinant search returns the same matching.  The brute force reads
-    the perfect matchings off the starting face, enumerated once.
+    determinant search returns the same matching.  The brute force weighs
+    the perfect matchings of the starting face, enumerated once.
     """
     state = initial_state(g)
-    matchings = state.face.matchings
+    start = state.face
     while state.threshold < g.n:
         state = advance(state)
     if len(state.face) != 1:
@@ -299,11 +278,10 @@ def isolate_derandomized(g: Graph) -> IsolationCertificate:
     if len(state.weight_log) > (rounds + 1) * rounds:
         raise EngineError("weight log exceeds the concatenation budget")
     w = compose_log(state.weight_log, g.n, g.m)
-    totals = [w.matching_weight(mm) for mm in matchings]
-    best = min(totals)
-    if totals.count(best) != 1:
+    best = min_weight_subface(start, w)
+    if len(best) != 1:
         raise EngineError("composed weight function is not isolating")
-    if matchings[totals.index(best)] != matching:
+    if best.matchings[0] != matching:
         raise EngineError("brute-force minimizer disagrees with the singleton face")
     outcome = determinant_search(g, w)
     if outcome.status != STATUS_MATCHED or outcome.matching != matching:

@@ -312,23 +312,15 @@ def _check_tight(face: Face, sets: Iterable[int]) -> None:
             raise ValueError(f"set {list(bit_positions(s))} is not tight for the face")
 
 
-def is_contractible(face: Face, hi: int, lo: int = 0) -> bool:
-    """Contractibility of the tight set hi, or, given lo, of the layer
-    hi - lo between two nested tight sets: every boundary edge of hi
-    (every pair of boundary edges of lo and hi) forces the matching inside.
-    A singleton has no interior, so it is contractible on every face.
-    Raises when a set is not tight or lo is not strictly inside hi.
-    """
-    n = face.g.n
-    _check_vertex_mask(hi, n)
-    if lo:
-        _check_vertex_mask(lo, n)
-        if lo & hi != lo or lo == hi:
-            raise ValueError("the inner set of a layer must lie strictly inside the outer one")
-    elif not hi & (hi - 1):
+def is_contractible(face: Face, s: int) -> bool:
+    """Contractibility of the tight set s: every boundary edge of s forces the
+    matching inside (a singleton, with no interior, always is).  Raises when
+    s is not tight."""
+    _check_vertex_mask(s, face.g.n)
+    if not s & (s - 1):
         return True
-    _check_tight(face, (lo, hi) if lo else (hi,))
-    return all(len(inners) == 1 for inners in forcing_groups(face, hi, lo).values())
+    _check_tight(face, (s,))
+    return all(len(inners) == 1 for inners in forcing_groups(face, s).values())
 
 
 @dataclass(frozen=True)
@@ -504,9 +496,6 @@ class GoodnessReport:
     ok: bool
     failed: str | None = None  # "maximality" | "contractibility" | "circuit"
     witness: object = None  # a vertex mask, or a circuit EdgeVector
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def goodness_check(face: Face, fam: LaminarFamily, threshold: int) -> GoodnessReport:

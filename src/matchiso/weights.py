@@ -3,8 +3,8 @@ random draws for the isolation test, and the brute-force isolation check.
 
 The family member with index k assigns edge j the value (4n^2+1)^j mod k.
 Scanning k = 2, 3, ... is guaranteed to produce a member giving every
-vector in a bounded obligation set a nonzero inner product, well before
-k reaches n^3 times the number of vectors.
+vector in a bounded obligation set a nonzero inner product before k passes
+n^3 times the number of vectors, the bound that separating_weights scans to.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Collection
 
-from .graphs import EdgeVector, Graph, enumerate_perfect_matchings
+from .graphs import EdgeVector, EngineError, Graph, enumerate_perfect_matchings
 
 
 @dataclass(frozen=True)
@@ -95,29 +95,30 @@ def separating_weights(
     vectors: Collection[EdgeVector],
     n: int,
     m: int,
-    t_max: int,
-) -> tuple[int, WeightFunction] | None:
-    """Smallest family index k <= t_max whose member on m edges has nonzero
-    inner product with every vector, or None when the scan is exhausted.
+) -> tuple[int, WeightFunction]:
+    """Smallest family index k whose member on m edges has nonzero inner
+    product with every one of the distinct vectors, from one scan up to the
+    family lemma's bound n^3 per vector (at least 7).
 
     Each vector must be a nonzero EdgeVector on the edges 1..m with 1-norm
-    at most 4n^2.  Exhaustion is only possible when t_max is below the
-    guaranteed bound n^3 * len(vectors); it is returned as data so callers
-    can probe how small t can be.
+    at most 4n^2.  The lemma rules out an empty scan, so one raises
+    EngineError.
     """
+    vecs = set(vectors)
     rows = []
-    for v in vectors:
+    for v in vecs:
         v.check(m)
         if not v.support:
             raise ValueError("zero vector in obligation set")
         if sum(map(abs, v.coeffs)) > 4 * n * n:
             raise ValueError("vector 1-norm exceeds 4n^2")
         rows.append([(j - 1, c) for j, c in v.items()])
-    for k in range(2, t_max + 1):
+    bound = max(7, n**3 * len(vecs))
+    for k in range(2, bound + 1):
         values = _member_values(k, n, m)
         if all(sum(c * values[i] for i, c in row) for row in rows):
             return k, WeightFunction(n, tuple(values), provenance=f"family:{k}")
-    return None
+    raise EngineError(f"no separating family member up to {bound}")
 
 
 def random_weights(g: Graph, seed: int) -> WeightFunction:

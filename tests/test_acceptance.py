@@ -4,7 +4,7 @@ The exhaustive corpus (connected graphs up to 8 vertices, up to isomorphism)
 is generated once per session and its counts are asserted against the known
 sequence, which independently validates the generator, and its listing is
 pinned by a digest, so that a changed representative shows too.  Criteria 2 and 3
-share the isolation-draw records; criteria 10 and 11 both walk the
+share the isolation-draw records; criteria 10 and 11 share one walk of the
 constructive pipeline over the corpus.
 """
 
@@ -34,7 +34,8 @@ from matchiso import (
     separating_weights,
     tight_odd_sets,
 )
-from matchiso.engine import advance, ceil_log2, initial_state
+import matchiso.engine as engine
+from matchiso.engine import ceil_log2
 from matchiso.faces import (
     bounded_circuit_vectors,
     contract_face,
@@ -314,9 +315,7 @@ def test_criterion_7_separating_member_exists():
             if not any(vec):
                 vec[support[0]] = 1
             vectors.append(tuple(vec))
-        found = separating_weights([to_sparse(vec) for vec in vectors], n, m, t_max=n**3 * s)
-        assert found is not None, "scan exhausted below the guaranteed bound"
-        _, w = found
+        _, w = separating_weights([to_sparse(vec) for vec in vectors], n, m)  # raises on an empty scan
         for vec in vectors:
             assert sum(a * b for a, b in zip(vec, w.values)) != 0
         done += 1
@@ -390,13 +389,39 @@ def test_criterion_9_structural_lemmas(corpus8_with_pm):
              f"{faces_checked} faces: spans, uncrossing, contractibility all hold")
 
 
-def test_criterion_10_derandomized_isolation(corpus8_with_pm):
+@pytest.fixture(scope="session")
+def corpus8_walks(corpus8_with_pm):
+    """One constructive walk per corpus graph with a perfect matching, in
+    corpus order: the certificate that isolate_derandomized returns, and
+    the face-laminar states it passed through, recorded by wrapping
+    initial_state and advance while it runs."""
     started = time.perf_counter()
-    for g in corpus8_with_pm:
-        # advance() verifies goodness at each doubled threshold internally
-        # and isolate_derandomized re-validates the composed weights three
-        # independent ways, raising EngineError on any failure.
-        cert = isolate_derandomized(g)
+    states, walks = [], []
+
+    def recorded(step):
+        def wrapper(arg):
+            state = step(arg)
+            states.append(state)
+            return state
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "initial_state", recorded(engine.initial_state))
+        mp.setattr(engine, "advance", recorded(engine.advance))
+        for g in corpus8_with_pm:
+            walks.append((isolate_derandomized(g), tuple(states)))
+            states.clear()
+    print(f"[walks: {len(walks)} corpus graphs in {time.perf_counter() - started:.1f}s]")
+    return walks
+
+
+def test_criterion_10_derandomized_isolation(corpus8_with_pm, corpus8_walks):
+    started = time.perf_counter()
+    for g, (cert, _) in zip(corpus8_with_pm, corpus8_walks, strict=True):
+        # The walk ran in corpus8_walks: advance() verified goodness at each
+        # doubled threshold, and isolate_derandomized re-validated the
+        # composed weights three independent ways, raising EngineError on
+        # any failure.
         rounds = ceil_log2(g.n)
         assert len(cert.audit) <= (rounds + 1) * rounds
         assert is_isolating(g, cert.weight)
@@ -407,14 +432,14 @@ def test_criterion_10_derandomized_isolation(corpus8_with_pm):
              f"{len(corpus8_with_pm)} graphs isolated with verified certificates")
 
 
-def test_criterion_11_circuit_census(corpus8_with_pm):
+def test_criterion_11_circuit_census(corpus8_with_pm, corpus8_walks):
     started = time.perf_counter()
     censuses = 0
     worst = 0
-    for i, g in enumerate(corpus8_with_pm):
+    for i, (g, (_, states)) in enumerate(zip(corpus8_with_pm, corpus8_walks, strict=True)):
         bound_total = g.n**17
-        state = initial_state(g)
-        while True:
+        assert states[-1].threshold >= g.n
+        for state in states:
             lam = state.threshold
             h = contract_face(state.face, state.laminar, lam)
             assert bounded_circuit_vectors(h, lam) == set()
@@ -425,8 +450,5 @@ def test_criterion_11_circuit_census(corpus8_with_pm):
             assert census <= bound_total
             worst = max(worst, census)
             censuses += 1
-            if lam >= g.n:
-                break
-            state = advance(state)
     announce(11, time.perf_counter() - started,
              f"{censuses} contractions, max census {worst} <= n^17")

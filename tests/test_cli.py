@@ -831,28 +831,36 @@ def test_edge_vectors_stay_sparse():
 
 def test_library_holds_no_test_only_options_or_names():
     """The library keeps one exact determinant and one size guard: no def in
-    src/matchiso takes a mode or a max_vertices parameter.  The lemma
-    checkers, the CRT determinant and the other names that only tests
-    reached now live in tests/, and none can be imported from matchiso."""
+    src/matchiso takes a mode or a max_vertices parameter.  The family scan
+    sets its own bound and contractibility has one form: no separating_weights
+    takes t_max, and no is_contractible takes lo (forcing_groups keeps its
+    layer form).  The lemma checkers, the CRT determinant and the other names
+    that only tests reached now live in tests/, and none can be imported from
+    matchiso; the second copies of the engine step and of the face prologue
+    are gone, as is GoodnessReport.__bool__, which no reader used."""
     import ast
     import importlib
 
-    from matchiso import DeterminantResult
+    from matchiso import DeterminantResult, GoodnessReport
 
     src = Path(__file__).resolve().parent.parent / "src" / "matchiso"
+    banned_on = {"separating_weights": {"t_max"}, "is_contractible": {"lo"}}
     found = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-                found += [(path.name, node.name, p) for p in sorted(params & {"mode", "max_vertices"})]
+                banned = {"mode", "max_vertices"} | banned_on.get(node.name, set())
+                found += [(path.name, node.name, p) for p in sorted(params & banned)]
     assert not found, f"settable values the library does not need: {found}"
     moved = {
         "graphs": ("crossing", "vertex_mask"),
         "weights": ("default_padding",),
         "tutte": ("_PRIME_FLOOR", "_prime_cache", "_primes_above_floor", "_crt"),
         "faces": ("is_tight", "_reduce_row", "laminar_spans_tight_cuts", "UncrossCertificate", "uncross_pair"),
+        "engine": ("_find_member",),
+        "cli": ("_face_from_args", "_check_tight_walk"),
     }
     package = importlib.import_module("matchiso")
     for module, names in moved.items():
@@ -860,3 +868,4 @@ def test_library_holds_no_test_only_options_or_names():
         for name in names:
             assert not hasattr(package, name) and not hasattr(namespace, name), f"matchiso.{module}.{name}"
     assert not hasattr(DeterminantResult, "ord2") and not hasattr(DeterminantResult, "ord2_or_inf")
+    assert "__bool__" not in vars(GoodnessReport)

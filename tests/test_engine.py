@@ -28,7 +28,6 @@ from matchiso.graphs import bit_positions, edge_mask
 from matchiso.tutte import STATUS_MATCHED
 
 from conftest import random_graph_with_pm, vertex_mask
-from dense_vectors import to_sparse
 
 f = edge_mask  # a matching: the mask of its edge ids
 v = vertex_mask  # a vertex set: the mask of its labels
@@ -66,16 +65,6 @@ def test_remove_circuits_c4_trace(c4):
     h = contract_face(state.face, state.laminar, 4)
     for z in bounded_circuit_vectors(h, 4):
         assert not respects_face(z, face, contraction=h)
-
-
-def test_find_member_raises_when_the_scan_comes_back_empty(monkeypatch):
-    import matchiso.engine as engine
-
-    monkeypatch.setattr(engine, "separating_weights", lambda *args, **kwargs: None)
-    with pytest.raises(EngineError):
-        engine._find_member([to_sparse((1, -1, 0, 0))], 4, 4)
-    with pytest.raises(EngineError):
-        engine._find_member([], 4, 4)
 
 
 def test_remove_circuits_vacuous(c4):
@@ -144,6 +133,22 @@ def test_isolate_derandomized_c4(c4):
     assert is_isolating(c4, cert.weight)
     out = determinant_search(c4, cert.weight)
     assert out.status == STATUS_MATCHED and out.matching == cert.matching
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [((1, 1, 1, 1), "not isolating"), ((5, 1, 1, 5), "brute-force minimizer disagrees")],
+    ids=["tie", "other-matching"],
+)
+def test_isolate_derandomized_checks_the_composed_weights(c4, monkeypatch, values, message):
+    """The brute force weighs the starting face under the composed weights:
+    a tie, or a minimizer other than the singleton face ({1,4}; the weights
+    5,1,1,5 favour {2,3}), raises EngineError."""
+    import matchiso.engine as engine
+
+    monkeypatch.setattr(engine, "compose_log", lambda records, n, m: WeightFunction(n, values))
+    with pytest.raises(EngineError, match=message):
+        isolate_derandomized(c4)
 
 
 def test_isolate_derandomized_k4(k4):

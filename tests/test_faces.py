@@ -24,7 +24,7 @@ from matchiso import (
     respects_face,
     tight_odd_sets,
 )
-from matchiso.faces import singletons
+from matchiso.faces import forcing_groups, singletons
 from matchiso.graphs import bit_positions, edge_mask
 from matchiso.weights import random_weights
 
@@ -350,18 +350,14 @@ def test_uncross_rejects_non_crossing(c4):
 )
 def test_out_of_range_vertex_masks_raise_value_error(c4, s):
     """Every public function taking a vertex mask from its caller refuses
-    one that is not a nonempty set of the vertices 1..n.  The inner set
-    of a layer is the exception: lo = 0 asks for the plain form."""
+    one that is not a nonempty set of the vertices 1..n."""
     face = perfect_matching_face(c4)
     calls = [
         lambda: is_tight(face, s),
         lambda: is_contractible(face, s),
-        lambda: is_contractible(face, s, v({1})),
         lambda: uncross_pair(s, v({2, 3, 4}), face),
         lambda: uncross_pair(v({1, 2, 3}), s, face),
     ]
-    if s:
-        calls.append(lambda: is_contractible(face, v({1, 2, 3}), s))
     for call in calls:
         with pytest.raises(ValueError, match="vertex mask"):
             call()
@@ -419,32 +415,12 @@ def layer_oracle(face, hi, lo):
     return True
 
 
-def test_layer_contractibility_matches_oracle(c6, k6):
+def test_layer_contractibility_matches_oracle(c6):
     chain_c6 = (v({3}), v({1, 2, 3}), v({1, 2, 3, 4, 5}))
     face = perfect_matching_face(c6)
     for lo, hi in itertools.combinations(chain_c6, 2):
-        assert is_contractible(face, hi, lo) == layer_oracle(face, hi, lo)
-    face_k6 = perfect_matching_face(k6)
-    # {1,2,3} is not tight for the K6 face, so the layer form must refuse
-    # it, as the outer and as the inner set.
-    with pytest.raises(ValueError, match="not tight"):
-        is_contractible(face_k6, v({1, 2, 3}), v({1}))
-    with pytest.raises(ValueError, match="not tight"):
-        is_contractible(face_k6, v({1, 2, 3, 4, 5}), v({1, 2, 3}))
-
-
-def test_layer_validation(c6):
-    face = perfect_matching_face(c6)
-    for hi, lo, message in [
-        (v({1, 2, 3}), v({3, 4, 5}), "strictly inside"),  # lo not inside hi
-        (v({1, 2, 3}), v({1, 2, 3}), "strictly inside"),  # lo == hi
-        (v({3}), v({1, 2, 3}), "strictly inside"),  # lo around hi
-        (v({1, 2, 3}), -v({3}), "vertex mask"),
-        (v({1, 2, 3}), 1 << 6, "vertex mask"),
-        (1 << 6 | v({3}), v({3}), "vertex mask"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            is_contractible(face, hi, lo)
+        groups = forcing_groups(face, hi, lo)
+        assert all(len(inners) == 1 for inners in groups.values()) == layer_oracle(face, hi, lo)
 
 
 def test_contract_face_uncontracted(c4):

@@ -21,6 +21,7 @@ from matchiso.faces import (
     bounded_circuit_vectors,
     contract_face,
     extend_to_maximal_laminar,
+    forcing_groups,
     is_contractible,
     lift_contracted_vector,
     min_weight_subface,
@@ -65,7 +66,8 @@ def test_contractibility_matches_scan(n, seed):
             assert is_contractible(face, s) == ref.contractible(face, s)
         fam = extend_to_maximal_laminar(singletons(n), tight)
         for lo, hi in nested_pairs(fam):
-            assert is_contractible(face, hi, lo) == ref.contractible(face, hi, lo)
+            groups = forcing_groups(face, hi, lo)
+            assert all(len(inners) == 1 for inners in groups.values()) == ref.contractible(face, hi, lo)
 
 
 @pytest.mark.parametrize("n,seed", CASES)

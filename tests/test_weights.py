@@ -13,7 +13,7 @@ from matchiso import (
     random_weights,
     separating_weights,
 )
-from matchiso.graphs import EdgeVector, edge_mask
+from matchiso.graphs import EdgeVector, EngineError, edge_mask
 
 from dense_vectors import to_sparse
 
@@ -94,34 +94,45 @@ def test_separating_weights_c4_cycle_vector():
     # Scanning: members k = 2..6 all give inner product 0; k = 7 with
     # values (2, 4, 1, 2) gives 2 - 4 - 1 + 2 = -1.
     y = (1, -1, -1, 1)
-    found = separating_weights([to_sparse(y)], 4, 4, t_max=4**3)
-    assert found is not None
-    k, w = found
+    k, w = separating_weights([to_sparse(y)], 4, 4)
     assert k == 7 and w.values == (2, 4, 1, 2)
     assert sum(a * b for a, b in zip(y, w.values)) != 0
 
 
 def test_separating_weights_empty_is_vacuous():
-    found = separating_weights([], 4, 5, t_max=2)
-    assert found is not None
-    k, w = found
+    k, w = separating_weights([], 4, 5)
     assert k == 2 and w.values == (1, 1, 1, 1, 1)
 
 
-def test_separating_weights_exhausted_is_data():
-    # (1, -1) is orthogonal to the all-ones member w_2, so t_max=2 exhausts.
-    assert separating_weights([to_sparse((1, -1))], 4, 2, t_max=2) is None
+def test_separating_weights_raises_when_no_member_separates(monkeypatch):
+    # With every member all-ones, (1, -1) is orthogonal to each one up to the
+    # lemma's bound, n^3 per distinct vector and at least 7: an empty scan is
+    # an engine fault, not data.
+    import matchiso.weights as weights
+
+    scanned = []
+
+    def all_ones(k, n, m):
+        scanned.append(k)
+        return [1] * m
+
+    monkeypatch.setattr(weights, "_member_values", all_ones)
+    for n, bound in [(2, 8), (1, 7)]:
+        scanned.clear()
+        with pytest.raises(EngineError, match=f"no separating family member up to {bound}"):
+            separating_weights([to_sparse((1, -1))] * 2, n, 2)
+        assert scanned == list(range(2, bound + 1))
 
 
 def test_separating_weights_validation():
     with pytest.raises(ValueError):
-        separating_weights([to_sparse((0, 0))], 4, 2, t_max=10)
+        separating_weights([to_sparse((0, 0))], 4, 2)
     with pytest.raises(ValueError):
-        separating_weights([to_sparse((100,) * 10)], 2, 10, t_max=10)  # 1-norm over 4n^2
+        separating_weights([to_sparse((100,) * 10)], 2, 10)  # 1-norm over 4n^2
     with pytest.raises(ValueError):
-        separating_weights([to_sparse((1, 0)), to_sparse((1, 0, 1))], 4, 2, t_max=10)  # edge 3 of 2
+        separating_weights([to_sparse((1, 0)), to_sparse((1, 0, 1))], 4, 2)  # edge 3 of 2
     with pytest.raises(ValueError):
-        separating_weights([EdgeVector(0b11, (1,))], 4, 2, t_max=10)  # two edges, one coefficient
+        separating_weights([EdgeVector(0b11, (1,))], 4, 2)  # two edges, one coefficient
 
 
 @given(st.integers(4, 10), st.data())
@@ -139,9 +150,7 @@ def test_separating_weights_succeeds_within_bound(n, data):
         if not any(vec):
             vec[support[0]] = 1
         vectors.append(tuple(vec))
-    found = separating_weights([to_sparse(vec) for vec in vectors], n, m, t_max=n**3 * s)
-    assert found is not None
-    k, w = found
+    k, w = separating_weights([to_sparse(vec) for vec in vectors], n, m)
     for vec in vectors:
         assert sum(a * b for a, b in zip(vec, w.values)) != 0
     # Minimality: every smaller index fails on some vector.
