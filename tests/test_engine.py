@@ -67,6 +67,19 @@ def test_remove_circuits_c4_trace(c4):
         assert not respects_face(z, face, contraction=h)
 
 
+def test_find_member_raises_when_the_scan_comes_back_empty(c4, monkeypatch):
+    # With every family member all-ones, the c4 cycle vector (1, -1, -1, 1) is
+    # orthogonal to each one: the engine's member step finds none and raises.
+    import matchiso.weights as weights
+
+    monkeypatch.setattr(weights, "_member_values", lambda k, n, m: [1] * m)
+    state = initial_state(c4)
+    with pytest.raises(EngineError, match="no separating family member"):
+        remove_circuits(state.face, state.laminar, bound=4, beta=4)
+    with pytest.raises(EngineError, match="no separating family member"):
+        isolate_derandomized(c4)
+
+
 def test_remove_circuits_vacuous(c4):
     state = initial_state(c4)
     record, face = remove_circuits(state.face, state.laminar, bound=2, beta=2)

@@ -104,6 +104,15 @@ def test_separating_weights_empty_is_vacuous():
     assert k == 2 and w.values == (1, 1, 1, 1, 1)
 
 
+def test_separating_weights_exhausted_is_data():
+    # (1, -1) is orthogonal to the all-ones member w_2, which exhausted a scan
+    # capped at k = 2. The scan now runs to the lemma's bound, so it passes w_2
+    # over and returns the first separating member as data: k = 3, (2, 1).
+    k, w = separating_weights([to_sparse((1, -1))], 4, 2)
+    assert k == 3 and w.values == (2, 1)
+    assert w.values[0] - w.values[1] != 0
+
+
 def test_separating_weights_raises_when_no_member_separates(monkeypatch):
     # With every member all-ones, (1, -1) is orthogonal to each one up to the
     # lemma's bound, n^3 per distinct vector and at least 7: an empty scan is
