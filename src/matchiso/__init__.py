@@ -25,12 +25,8 @@ from .weights import (
     separating_weights,
 )
 from .tutte import (
-    DeterminantResult,
     SearchOutcome,
-    TutteMatrix,
-    build_tutte_matrix,
     decide_random,
-    determinant,
     determinant_search,
 )
 from .faces import (

@@ -1,12 +1,15 @@
-"""Tutte matrices over powers of two, the exact determinant, the modular
-existence test, and the determinant-digit search for an isolated perfect
-matching.
+"""Tutte matrices over powers of two, the modular existence test, and the
+determinant-digit search for an isolated perfect matching.
 
 The matrix of a graph has entry +2^w(e) at (u, v) and -2^w(e) at (v, u) for
 every edge e = (u, v) with u < v.  When a unique perfect matching M attains
 the minimum total weight, the determinant is nonzero and its 2-adic
 valuation equals 2 w(M); removing an edge of M makes that lowest digit
-disappear, which is what the search exploits.
+disappear, which is what the search exploits.  The search reads the
+determinant and every per-edge determinant off one fraction-free inverse
+(``_inverse``); ``decide_random`` substitutes random field elements and
+eliminates mod p (``_det_mod``).  The forward-only Bareiss determinant and
+the modular-CRT determinant are test oracles (tests/reference_determinant.py).
 """
 
 from __future__ import annotations
@@ -22,34 +25,9 @@ STATUS_NO_PM = "no-perfect-matching"
 STATUS_NOT_ISOLATING = "isolation-failure"
 
 
-@dataclass(frozen=True)
-class TutteMatrix:
-    """Skew-symmetric integer matrix with zero diagonal."""
-
-    size: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.size or any(len(r) != self.size for r in self.rows):
-            raise ValueError("matrix shape mismatch")
-        for i in range(self.size):
-            if self.rows[i][i] != 0:
-                raise ValueError("nonzero diagonal")
-            for j in range(i + 1, self.size):
-                if self.rows[i][j] != -self.rows[j][i]:
-                    raise ValueError("matrix not skew-symmetric")
-
-
 def _ord2(x: int) -> int:
     """Largest k with 2^k dividing x, for x != 0."""
     return (x & -x).bit_length() - 1
-
-
-@dataclass(frozen=True)
-class DeterminantResult:
-    """The exact determinant of a Tutte matrix."""
-
-    value: int
 
 
 def _tutte_rows(g: Graph, entries: list[int]) -> list[list[int]]:
@@ -60,41 +38,6 @@ def _tutte_rows(g: Graph, entries: list[int]) -> list[list[int]]:
         rows[u - 1][v - 1] = x
         rows[v - 1][u - 1] = -x
     return rows
-
-
-def build_tutte_matrix(g: Graph, w: WeightFunction) -> TutteMatrix:
-    if w.m != g.m:
-        raise ValueError(f"weight function covers {w.m} edges, graph has {g.m}")
-    rows = _tutte_rows(g, [1 << x for x in w.values])  # 2^w(e), exact
-    return TutteMatrix(g.n, tuple(tuple(r) for r in rows))
-
-
-def _bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free elimination; exact integer determinant, destructive."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
-            row_i = rows[i]
-            row_k = rows[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - rik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * rows[n - 1][n - 1]
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:
@@ -154,11 +97,6 @@ def is_prime(x: int) -> bool:
         else:
             return False
     return True
-
-
-def determinant(matrix: TutteMatrix) -> DeterminantResult:
-    """Exact determinant, by fraction-free elimination."""
-    return DeterminantResult(_bareiss([list(r) for r in matrix.rows]))
 
 
 def decide_random(g: Graph, prime: int, trials: int, seed: int) -> bool:

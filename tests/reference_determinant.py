@@ -1,11 +1,16 @@
-"""The modular-CRT determinant that tutte.determinant once offered beside
-its fraction-free one, kept as a test-only differential oracle: the exact
-value from its residues modulo enough primes above 2^30 to exceed the
-Hadamard bound, recovered by the Chinese remainder theorem."""
+"""Two exact determinants of integer rows, kept as test-only differential
+oracles for the one the library computes (the D of tutte._inverse):
+
+- the forward-only fraction-free (Bareiss) elimination that
+  tutte.determinant once ran;
+- the modular-CRT determinant it once offered beside it: the exact value
+  from its residues modulo enough primes above 2^30 to exceed the Hadamard
+  bound, recovered by the Chinese remainder theorem.
+"""
 
 import math
 
-from matchiso.tutte import TutteMatrix, _det_mod, is_prime
+from matchiso.tutte import _det_mod, is_prime
 
 _PRIME_FLOOR = 1 << 30
 _prime_cache: list[int] = []
@@ -30,11 +35,40 @@ def _crt(residues: list[int], moduli: list[int]) -> int:
     return total % product
 
 
-def crt_determinant(matrix: TutteMatrix) -> int:
-    n = matrix.size
+def bareiss_determinant(rows: list[list[int]]) -> int:
+    """Fraction-free elimination; exact integer determinant, destructive."""
+    n = len(rows)
     if n == 0:
         return 1
-    max_entry = max((abs(x) for row in matrix.rows for x in row), default=0)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            for i in range(k + 1, n):
+                if rows[i][k] != 0:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = rows[k][k]
+        for i in range(k + 1, n):
+            rik = rows[i][k]
+            row_i = rows[i]
+            row_k = rows[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - rik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * rows[n - 1][n - 1]
+
+
+def crt_determinant(rows: list[list[int]]) -> int:
+    """Exact determinant from residues; reads the rows without changing them."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    max_entry = max((abs(x) for row in rows for x in row), default=0)
     if max_entry == 0:
         return 0
     # |det| <= n^(n/2) * B^n; take enough primes for the symmetric range.
@@ -48,8 +82,7 @@ def crt_determinant(matrix: TutteMatrix) -> int:
         product = math.prod(primes)
     residues = []
     for p in primes:
-        rows = [[x % p for x in row] for row in matrix.rows]
-        residues.append(_det_mod(rows, p))
+        residues.append(_det_mod([[x % p for x in row] for row in rows], p))
     value = _crt(residues, primes)
     if value > product // 2:
         value -= product

@@ -695,6 +695,25 @@ def test_readme_names_the_cli_verbs():
         assert verbs and set(verbs) <= set(_DISPATCH), row
 
 
+def test_readme_quick_tour_runs():
+    """The README's library quick tour runs as written, and each bare
+    expression in it gives the value its comment states."""
+    import ast
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    values = []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    # matching, its edges, the weights, is_isolating, the digit search's
+    # matching, the tight odd sets, is_contractible
+    assert values == [9, (1, 4), (2, 4, 1, 2), True, 9, 8, True]
+
+
 def test_library_has_one_set_type():
     """Vertex sets and matchings are int masks throughout the library: no
     module of src/matchiso names frozenset."""
@@ -836,12 +855,16 @@ def test_library_holds_no_test_only_options_or_names():
     takes t_max, and no is_contractible takes lo (forcing_groups keeps its
     layer form).  The lemma checkers, the CRT determinant and the other names
     that only tests reached now live in tests/, and none can be imported from
-    matchiso; the second copies of the engine step and of the face prologue
-    are gone, as is GoodnessReport.__bool__, which no reader used."""
+    matchiso: among them the second Tutte API (the matrix class, its
+    builder, the Bareiss determinant and its result class), as the search
+    reads its one inverse.  The second copies of the engine step and of the
+    face prologue are gone, as is GoodnessReport.__bool__, which no reader
+    used; and the blossom keeps no least-slack edges (bestedge,
+    blossombest), as each dual step scans the edges."""
     import ast
     import importlib
 
-    from matchiso import DeterminantResult, GoodnessReport
+    from matchiso import GoodnessReport
 
     src = Path(__file__).resolve().parent.parent / "src" / "matchiso"
     banned_on = {"separating_weights": {"t_max"}, "is_contractible": {"lo"}}
@@ -857,7 +880,10 @@ def test_library_holds_no_test_only_options_or_names():
     moved = {
         "graphs": ("crossing", "vertex_mask"),
         "weights": ("default_padding",),
-        "tutte": ("_PRIME_FLOOR", "_prime_cache", "_primes_above_floor", "_crt"),
+        "tutte": (
+            "_PRIME_FLOOR", "_prime_cache", "_primes_above_floor", "_crt",
+            "TutteMatrix", "DeterminantResult", "build_tutte_matrix", "determinant", "_bareiss",
+        ),
         "faces": ("is_tight", "_reduce_row", "laminar_spans_tight_cuts", "UncrossCertificate", "uncross_pair"),
         "engine": ("_find_member",),
         "cli": ("_face_from_args", "_check_tight_walk"),
@@ -867,5 +893,7 @@ def test_library_holds_no_test_only_options_or_names():
         namespace = importlib.import_module(f"matchiso.{module}")
         for name in names:
             assert not hasattr(package, name) and not hasattr(namespace, name), f"matchiso.{module}.{name}"
-    assert not hasattr(DeterminantResult, "ord2") and not hasattr(DeterminantResult, "ord2_or_inf")
     assert "__bool__" not in vars(GoodnessReport)
+    graphs = ast.parse((src / "graphs.py").read_text())
+    named = {node.id for node in ast.walk(graphs) if isinstance(node, ast.Name)}
+    assert not named & {"bestedge", "blossombest", "best_to"}, named & {"bestedge", "blossombest", "best_to"}

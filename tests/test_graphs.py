@@ -251,3 +251,35 @@ def test_edge_vector_forms():
     for bad, m in ((v, 4), (EdgeVector(0b11, (1,)), 2), (EdgeVector(0b1, (0,)), 2)):
         with pytest.raises(ValueError):
             bad.check(m)
+
+
+def test_min_weight_perfect_matching_agrees_with_networkx_above_the_oracle():
+    """Seeded n = 14..40 differential against networkx's blossom, where the
+    exhaustive oracle cannot reach: None exactly when networkx's
+    maximum-cardinality matching is not perfect, and otherwise a perfect
+    matching of networkx's weight.  Odd n, sparse graphs and heavy ties
+    (weights in 0..1 and 0..3) are included."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2914)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(14, 40)
+        g = random_graph(n, rng.choice([0.08, 0.15, 0.3, 0.6]), rng)
+        if g.m == 0:
+            continue
+        values = [rng.randint(0, rng.choice([1, 3, 100])) for _ in range(g.m)]
+        graph = nx.Graph()
+        graph.add_nodes_from(range(1, n + 1))
+        ceiling = max(values) + 1
+        graph.add_weighted_edges_from((u, v, ceiling - x) for (u, v), x in zip(g.edges, values))
+        found = nx.max_weight_matching(graph, maxcardinality=True)
+        mask = min_weight_perfect_matching(g, values)
+        perfect = 2 * len(found) == n
+        outcomes[perfect] += 1
+        if not perfect:
+            assert mask is None
+            continue
+        assert mask is not None and is_perfect_matching(g, mask)
+        weight = sum(values[g.edge_id(min(e), max(e)) - 1] for e in found)
+        assert sum(values[j - 1] for j in bit_positions(mask)) == weight
+    assert min(outcomes.values()) >= 50, outcomes

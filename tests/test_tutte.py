@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from matchiso import (
     WeightFunction,
-    build_tutte_matrix,
     decide_random,
-    determinant,
     determinant_search,
     enumerate_perfect_matchings,
     graph_from_edges,
@@ -21,14 +19,13 @@ from matchiso.tutte import (
     STATUS_MATCHED,
     STATUS_NO_PM,
     STATUS_NOT_ISOLATING,
-    TutteMatrix,
     _inverse,
     is_prime,
 )
 
 from conftest import random_graph_with_pm
-from reference_determinant import crt_determinant
-from reference_search import ord2, ord2_or_inf, per_edge_search
+from reference_determinant import bareiss_determinant, crt_determinant
+from reference_search import ord2, ord2_or_inf, per_edge_search, tutte_rows
 
 
 def leibniz_determinant(rows):
@@ -51,53 +48,43 @@ def leibniz_determinant(rows):
 
 def test_matrix_shape_for_five_edge_document():
     g = graph_from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
-    w = WeightFunction(4, (0, 0, 0, 0, 0))
-    mat = build_tutte_matrix(g, w)
     # Entries are +-1 in the adjacency sign pattern: row u has +1 at columns
     # of higher-labeled neighbors, -1 at lower ones.
-    assert mat.rows == (
-        (0, 1, 1, 1),
-        (-1, 0, 0, 1),
-        (-1, 0, 0, 1),
-        (-1, -1, -1, 0),
-    )
+    assert tutte_rows(g, (0, 0, 0, 0, 0)) == [
+        [0, 1, 1, 1],
+        [-1, 0, 0, 1],
+        [-1, 0, 0, 1],
+        [-1, -1, -1, 0],
+    ]
 
 
 def test_single_edge_matrix_and_determinant():
     g = graph_from_edges(2, [(1, 2)])
-    mat = build_tutte_matrix(g, WeightFunction(2, (3,)))
-    assert mat.rows == ((0, 8), (-8, 0))
-    res = determinant(mat)
-    assert res.value == 64 and ord2(res) == 6
+    rows = tutte_rows(g, (3,))
+    assert rows == [[0, 8], [-8, 0]]
+    value = abs(_inverse([list(r) for r in rows])[0])
+    assert value == bareiss_determinant(rows) == 64 and ord2(value) == 6
 
 
 def test_triangle_determinant_zero(triangle):
-    w = WeightFunction(3, (1, 2, 3))
-    mat = build_tutte_matrix(triangle, w)
-    assert all(mat.rows[i][i] == 0 for i in range(3))
-    res = determinant(mat)
-    assert res.value == 0 and ord2(res) is None and ord2_or_inf(res) == math.inf
+    rows = tutte_rows(triangle, (1, 2, 3))
+    assert all(rows[i][i] == 0 for i in range(3))
+    assert _inverse([list(r) for r in rows]) == (0, [])
+    value = bareiss_determinant(rows)
+    assert value == 0 and ord2(value) is None and ord2_or_inf(value) == math.inf
 
 
 def test_c4_determinant_value(c4):
     # Matching weights are 3 and 2, so det = (2^3 + 2^2)^2 = 144, ord2 = 4.
-    mat = build_tutte_matrix(c4, WeightFunction(4, (1, 1, 1, 2)))
-    res = determinant(mat)
-    assert res.value == leibniz_determinant([list(r) for r in mat.rows]) == 144
-    assert ord2(res) == 4
-    assert crt_determinant(mat) == 144
+    rows = tutte_rows(c4, (1, 1, 1, 2))
+    assert leibniz_determinant(rows) == crt_determinant(rows) == 144
+    value = abs(_inverse([list(r) for r in rows])[0])
+    assert value == bareiss_determinant(rows) == 144 and ord2(value) == 4
 
 
 def test_weight_missing_edge(c4):
-    with pytest.raises(ValueError):
-        build_tutte_matrix(c4, WeightFunction(4, (1, 1, 1)))
-
-
-def test_matrix_validation_rejects_non_skew():
-    with pytest.raises(ValueError):
-        TutteMatrix(2, ((0, 1), (1, 0)))
-    with pytest.raises(ValueError):
-        TutteMatrix(2, ((1, 2), (-2, 0)))
+    with pytest.raises(ValueError, match="covers 3 edges, graph has 4"):
+        determinant_search(c4, WeightFunction(4, (1, 1, 1)))
 
 
 @given(st.integers(2, 6), st.data())
@@ -106,10 +93,11 @@ def test_exact_matches_leibniz_and_crt(n, data):
     pairs = data.draw(st.lists(st.sampled_from(all_pairs), unique=True))
     g = graph_from_edges(n, pairs)
     w = WeightFunction(n, tuple(data.draw(st.integers(0, 8)) for _ in range(g.m)))
-    mat = build_tutte_matrix(g, w)
-    exact = determinant(mat).value
-    assert exact == leibniz_determinant([list(r) for r in mat.rows])
-    assert exact == crt_determinant(mat)
+    rows = tutte_rows(g, w.values)
+    exact = leibniz_determinant(rows)
+    assert exact == crt_determinant(rows)
+    assert exact == abs(_inverse([list(r) for r in rows])[0])
+    assert exact == bareiss_determinant(rows)
 
 
 @given(st.integers(2, 8), st.data())
@@ -119,11 +107,11 @@ def test_determinant_is_square_with_even_ord2(n, data):
     pairs = data.draw(st.lists(st.sampled_from(all_pairs), unique=True))
     g = graph_from_edges(n, pairs)
     w = WeightFunction(n, tuple(data.draw(st.integers(0, 6)) for _ in range(g.m)))
-    res = determinant(build_tutte_matrix(g, w))
-    assert res.value >= 0
-    assert math.isqrt(res.value) ** 2 == res.value
-    if res.value:
-        assert ord2(res) % 2 == 0
+    value = abs(_inverse(tutte_rows(g, w.values))[0])
+    assert value == bareiss_determinant(tutte_rows(g, w.values))
+    assert math.isqrt(value) ** 2 == value
+    if value:
+        assert ord2(value) % 2 == 0
 
 
 def test_decide_random_c4_true(c4):
@@ -252,11 +240,11 @@ def test_inverse_is_scaled_inverse(n, data):
     pairs = data.draw(st.lists(st.sampled_from(all_pairs), unique=True))
     g = graph_from_edges(n, pairs)
     w = WeightFunction(n, tuple(data.draw(st.integers(0, 6)) for _ in range(g.m)))
-    mat = build_tutte_matrix(g, w)
-    d, r = _inverse([list(row) for row in mat.rows])
-    assert abs(d) == determinant(mat).value
+    rows = tutte_rows(g, w.values)
+    d, r = _inverse([list(row) for row in rows])
+    assert abs(d) == bareiss_determinant([list(row) for row in rows])
     if d:
-        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*r)] for row in mat.rows]
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*r)] for row in rows]
         assert product == [[d if i == j else 0 for j in range(n)] for i in range(n)]
 
 
@@ -277,7 +265,7 @@ def test_search_k4_tie_with_moved_digit_is_not_matched(k4):
 def test_search_k4_vanishing_determinant_is_not_absence(k4):
     # All three matchings weigh 2 and the whole Pfaffian cancels.
     w = WeightFunction(4, (1, 1, 1, 1, 2, 1))
-    assert determinant(build_tutte_matrix(k4, w)).value == 0
+    assert bareiss_determinant(tutte_rows(k4, w.values)) == 0
     assert per_edge_search(k4, w).status == STATUS_NO_PM
     out = determinant_search(k4, w)
     assert out.status == STATUS_NOT_ISOLATING
