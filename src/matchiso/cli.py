@@ -66,9 +66,11 @@ EXIT_DOMAIN = 4
 # graph of density 0.3 (CPython 3.11, 2-CPU Linux host)
 GRAPH_MAX_N = 40
 # search --weights: the determinant has at most about n * max(w) bits, as each Pfaffian term has n/2 factors
-# 2^w; at this estimate a planted n = 40 graph of density 0.3 with every weight 500 took 20.8 s, and C4 with
-# weights 5000,1,5000,1 took 0.14 s
-SEARCH_MAX_DET_BITS = 20_000
+# 2^w. The vertex potentials shrink the entries only when every edge at a vertex is heavy, so the worst case
+# keeps each vertex's lightest weight at 1: at this estimate a planted n = 40 graph of density 0.3 whose
+# matching edges weigh 1 and whose other edges weigh 400 took 18.2-18.5 s (28.0-28.7 s at 20,000 with 500),
+# and C4 with weights 4000,1,4000,1 took 0.005 s
+SEARCH_MAX_DET_BITS = 16_000
 # decide runs every trial on a graph with no perfect matching: 1,000 took 1.1 s at n = 40
 DECIDE_MAX_TRIALS = 1_000
 WEIGHTS_MAX_VALUES = 100_000  # weight values computed: edges times family indices

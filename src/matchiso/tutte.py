@@ -7,9 +7,15 @@ the minimum total weight, the determinant is nonzero and its 2-adic
 valuation equals 2 w(M); removing an edge of M makes that lowest digit
 disappear, which is what the search exploits.  The search reads the
 determinant and every per-edge determinant off one fraction-free inverse
-(``_inverse``); ``decide_random`` substitutes random field elements and
-eliminates mod p (``_det_mod``).  The forward-only Bareiss determinant and
-the modular-CRT determinant are test oracles (tests/reference_determinant.py).
+(``_inverse``) of the matrix scaled by vertex potentials: row and column v
+are divided by 2^y_v, with y_v half the lightest weight at v rounded down,
+so every entry is 2^(w(e) - y_u - y_v) and the integers in the elimination
+are shorter.  The scaling divides the determinant and every per-edge
+determinant by the same power of two, which the search adds back.
+``decide_random`` substitutes random field elements and eliminates mod p
+(``_det_mod``).  The unscaled search, the forward-only Bareiss determinant
+and the modular-CRT determinant are test oracles (tests/reference_search.py,
+tests/reference_determinant.py).
 """
 
 from __future__ import annotations
@@ -149,6 +155,16 @@ class SearchOutcome:
     reason: str | None = None
 
 
+def _potentials(g: Graph, values: tuple[int, ...]) -> list[int]:
+    """y_v = floor(lightest weight at v / 2), 0 at an isolated vertex, so
+    y_u + y_v <= w(e) on every edge of positive weight."""
+    lightest = {}
+    for (u, v), x in zip(g.edges, values):
+        for z in (u, v):
+            lightest[z] = min(x, lightest.get(z, x))
+    return [lightest.get(v, 0) // 2 for v in range(1, g.n + 1)]
+
+
 def _inverse(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
     """Fraction-free Gauss-Jordan elimination, in place; destructive.
 
@@ -205,6 +221,15 @@ def determinant_search(g: Graph, w: WeightFunction) -> SearchOutcome:
     2 ord2(s) - ord2(D).  The edges whose removal kills the lowest digit
     2^(2 W*) are selected (Mulmuley, Vazirani and Vazirani 1987).
 
+    The matrix inverted is T' = Y T Y with Y = diag(2^-y_v) from
+    ``_potentials``: its entries are 2^r(e), r(e) = w(e) - y_u - y_v >= 0.
+    Every minor of T' is the same minor of T times a power of two, so
+    the elimination takes the same pivots and D' = D / 2^shift with
+    shift = 2 sum(y), and s' = D' - 2^r(e) * R'[v][u] = s / 2^shift, as
+    R'[v][u] = 2^(y_u + y_v - shift) R[v][u].  The search adds shift back
+    to ord2(D'), to each ord2(s') and to the bit length of |D'|, so the
+    target, every verdict and det_bits are exactly those of T.
+
     The digit test alone can be fooled when w does not isolate: equal
     minimum terms of the Pfaffian may cancel and move the lowest digit.  So
     the verdict is settled by the blossom algorithm: the candidate M is
@@ -218,7 +243,12 @@ def determinant_search(g: Graph, w: WeightFunction) -> SearchOutcome:
         raise ValueError(f"weight function covers {w.m} edges, graph has {g.m}")
     if any(x < 1 for x in w.values):
         raise ValueError("search requires strictly positive weights")
-    d, adj = _inverse(_tutte_rows(g, [1 << x for x in w.values]))
+    y = _potentials(g, w.values)
+    reduced = [x - y[u - 1] - y[v - 1] for (u, v), x in zip(g.edges, w.values)]
+    if any(r < 0 for r in reduced):
+        raise EngineError("vertex potentials exceed an edge weight")
+    shift = 2 * sum(y)
+    d, adj = _inverse(_tutte_rows(g, [1 << r for r in reduced]))
     if d == 0:
         if min_weight_perfect_matching(g, w.values) is None:
             return SearchOutcome(STATUS_NO_PM, None, None, 0, None, ())
@@ -226,19 +256,19 @@ def determinant_search(g: Graph, w: WeightFunction) -> SearchOutcome:
             STATUS_NOT_ISOLATING, None, None, 0, None, (),
             reason="determinant vanishes although a perfect matching exists",
         )
-    target = _ord2(d)
+    target = _ord2(d) + shift
     if target % 2:
         raise EngineError(f"skew-symmetric determinant has odd 2-adic valuation {target}")
     verdicts = []
     candidate = 0
-    for edge_id, ((u, v), x) in enumerate(zip(g.edges, w.values), start=1):
-        s = d - (adj[v - 1][u - 1] << x)
-        ord2 = None if s == 0 else 2 * _ord2(s) - target
+    for edge_id, ((u, v), r) in enumerate(zip(g.edges, reduced), start=1):
+        s = d - (adj[v - 1][u - 1] << r)
+        ord2 = None if s == 0 else 2 * (_ord2(s) + shift) - target
         hit = ord2 is None or ord2 > target
         verdicts.append(EdgeVerdict(edge_id, s == 0, ord2, hit))
         if hit:
             candidate |= 1 << (edge_id - 1)
-    det_bits = abs(d).bit_length()
+    det_bits = abs(d).bit_length() + shift
 
     def failure(reason: str) -> SearchOutcome:
         return SearchOutcome(

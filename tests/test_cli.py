@@ -860,7 +860,9 @@ def test_library_holds_no_test_only_options_or_names():
     reads its one inverse.  The second copies of the engine step and of the
     face prologue are gone, as is GoodnessReport.__bool__, which no reader
     used; and the blossom keeps no least-slack edges (bestedge,
-    blossombest), as each dual step scans the edges."""
+    blossombest), as each dual step scans the edges.  There is one search
+    path: only determinant_search calls _inverse, and only it and
+    decide_random call _tutte_rows, so the unscaled search lives in tests/."""
     import ast
     import importlib
 
@@ -897,3 +899,13 @@ def test_library_holds_no_test_only_options_or_names():
     graphs = ast.parse((src / "graphs.py").read_text())
     named = {node.id for node in ast.walk(graphs) if isinstance(node, ast.Name)}
     assert not named & {"bestedge", "blossombest", "best_to"}, named & {"bestedge", "blossombest", "best_to"}
+    callers = {"_inverse": set(), "_tutte_rows": set()}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call):
+                        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                        if name in callers:
+                            callers[name].add(node.name)
+    assert callers == {"_inverse": {"determinant_search"}, "_tutte_rows": {"determinant_search", "decide_random"}}

@@ -1,19 +1,23 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchiso.tutte as tutte
 from matchiso import (
     WeightFunction,
     decide_random,
     determinant_search,
     enumerate_perfect_matchings,
     graph_from_edges,
+    parse_graph,
 )
-from matchiso.graphs import edge_mask
+from matchiso.graphs import EngineError, edge_mask
 from matchiso.tutte import (
     MR_BOUND,
     STATUS_MATCHED,
@@ -23,9 +27,9 @@ from matchiso.tutte import (
     is_prime,
 )
 
-from conftest import random_graph_with_pm
+from conftest import random_graph, random_graph_with_pm
 from reference_determinant import bareiss_determinant, crt_determinant
-from reference_search import ord2, ord2_or_inf, per_edge_search, tutte_rows
+from reference_search import ord2, ord2_or_inf, per_edge_search, tutte_rows, unscaled_search
 
 
 def leibniz_determinant(rows):
@@ -310,3 +314,84 @@ def test_search_agrees_with_networkx_blossom():
             assert out.status == STATUS_NOT_ISOLATING
         outcomes.add(out.status)
     assert outcomes == {STATUS_MATCHED, STATUS_NOT_ISOLATING}
+
+
+def _scaled_search_cases():
+    """Seeded (graph, weights) pairs for the scaled-against-unscaled check."""
+    rng = random.Random(30)
+    for n in range(4, 21, 2):  # planted, weights in 1..2m
+        for _ in range(3):
+            g = random_graph_with_pm(n, 0.3, rng)
+            yield g, tuple(rng.randint(1, 2 * g.m) for _ in range(g.m))
+    for _ in range(40):  # ties: many isolation failures
+        n = rng.choice([4, 6, 8, 10, 12])
+        g = random_graph_with_pm(n, 0.5, rng)
+        yield g, tuple(rng.randint(1, 3) for _ in range(g.m))
+    for x in (1, 2, 7, 50):  # all weights equal: every reduced weight is x mod 2
+        for n in (4, 8, 12):
+            g = random_graph_with_pm(n, 0.5, rng)
+            yield g, (x,) * g.m
+    for n in (6, 10, 16):  # each vertex's lightest edge at weight 1: every y is 0
+        g = random_graph_with_pm(n, 0.3, rng)
+        planted = {(v, v + 1) for v in range(1, n, 2)}
+        yield g, tuple(1 if e in planted else rng.randint(2, 2 * g.m) for e in g.edges)
+    for n in (5, 7, 9):  # odd n, and an isolated vertex: no perfect matching
+        g = random_graph(n, 0.6, rng)
+        yield g, tuple(rng.randint(1, 2 * g.m) for _ in range(g.m))
+        pairs = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.6]
+        g = graph_from_edges(n + 1, pairs)
+        yield g, tuple(rng.randint(1, 2 * g.m) for _ in range(g.m))
+    golden = Path(__file__).resolve().parent / "data" / "derand_golden.jsonl"
+    for line in golden.read_text().splitlines():  # the composed certificate weights
+        case = json.loads(line)
+        values = json.loads(case["report"])["result"]["weight"]["values"]
+        yield parse_graph(case["graph"]), tuple(int(x) for x in values)
+
+
+def test_scaled_search_equals_unscaled_search():
+    """The search on the potential-scaled matrix equals the unscaled
+    one-inverse search in every field: status, matching, weight, det_bits,
+    target_ord2, each EdgeVerdict and the reason."""
+    statuses = set()
+    for g, values in _scaled_search_cases():
+        w = WeightFunction(g.n, values)
+        out = determinant_search(g, w)
+        assert out == unscaled_search(g, w), (g, values)
+        statuses.add(out.status)
+    assert statuses == {STATUS_MATCHED, STATUS_NO_PM, STATUS_NOT_ISOLATING}
+
+
+def test_equal_weights_scale_to_unit_entries(monkeypatch):
+    """With every weight equal and even, each potential is half of it and
+    every reduced weight 0: the rows handed to _inverse hold only 0 and +-1."""
+    seen = []
+
+    def spy(rows):
+        seen.append({x for row in rows for x in row})
+        return _inverse(rows)
+
+    monkeypatch.setattr(tutte, "_inverse", spy)
+    rng = random.Random(31)
+    for x, n in ((2, 6), (10, 10), (500, 12)):
+        g = random_graph_with_pm(n, 0.5, rng)
+        determinant_search(g, WeightFunction(n, (x,) * g.m))
+    assert len(seen) == 3
+    assert all(entries <= {0, 1, -1} for entries in seen), seen
+
+
+def test_infeasible_potentials_raise(c4, tmp_path, capsys, monkeypatch):
+    """Potentials with y_u + y_v = w(e) + 1 on one edge give EngineError,
+    never a report: search exits 1 with nothing on stdout."""
+    from matchiso.cli import EXIT_INTERNAL, main
+
+    w = WeightFunction(4, (3, 3, 3, 3))
+    assert tutte._potentials(c4, w.values) == [1, 1, 1, 1]
+    # Edge 1 = (1, 2) gets 2 + 2 = 4 = w + 1; the other three stay feasible.
+    monkeypatch.setattr(tutte, "_potentials", lambda g, values: [2, 2, 0, 0])
+    with pytest.raises(EngineError, match="potentials"):
+        determinant_search(c4, w)
+    path = tmp_path / "c4.txt"
+    path.write_text("4 4\n1 2\n1 4\n2 3\n3 4\n")
+    assert main(["search", "--graph", str(path), "--weights", "3,3,3,3"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == "" and "potentials" in captured.err
